@@ -23,7 +23,7 @@ import os
 
 import numpy as np
 
-from .field import GridSpec, SampledField
+from .field import GridSpec, SampledField, _grid_values
 from .lct import TransformParams
 from .transform import Spectrum
 
@@ -114,6 +114,9 @@ def _read_csv(path: str) -> tuple[GridSpec, np.ndarray, TransformParams | None]:
         raise ParseError(f"{path}: non-numeric cell ({e})") from e
     if data.shape[1] != 6:
         raise ParseError(f"{path}: expected 6 columns, got {data.shape[1]}")
+    if not np.all(np.isfinite(data)):
+        row = int(np.argwhere(~np.isfinite(data))[0, 0])
+        raise ParseError(f"{path}: non-finite cell in data row {row + 1}")
 
     params = None
     side = _sidecar_path(path)
@@ -156,10 +159,10 @@ def _read_json(path: str) -> tuple[GridSpec, np.ndarray, TransformParams | None]
     if not isinstance(doc, dict) or "grid" not in doc or "values" not in doc:
         raise ParseError(f"{path}: expected an object with grid and values")
     spec = GridSpec.from_dict(doc["grid"])
-    values = np.asarray(doc["values"], dtype=float)
-    if values.shape != (spec.n1, spec.n2, 4):
-        raise ParseError(f"{path}: values shape {values.shape} does not "
-                         f"match grid ({spec.n1}, {spec.n2}, 4)")
+    try:
+        values = _grid_values(spec, doc["values"])
+    except ValueError as e:
+        raise ParseError(f"{path}: {e}") from e
     params = None
     if "params" in doc:
         params = TransformParams.from_dict(doc["params"])

@@ -18,9 +18,9 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .field import (GridSpec, SampledField, _QTABLE, _conv_full_all_pairs,
-                    _origin_offset, _require_same_spec, _weights_2d,
-                    qconj_values, qmul_values, quad_weights_1d)
+from .field import (GridSpec, SampledField, _grid_values, _origin_offset,
+                    _qconv_full, _require_same_spec, _shifted_crop,
+                    _weights_2d, qconj_values, qmul_values, quad_weights_1d)
 from .lct import TransformParams, kernel_matrix
 
 __all__ = [
@@ -47,12 +47,7 @@ class Spectrum:
     params: TransformParams | None = None
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.spec.n1, self.spec.n2, 4):
-            raise ValueError(
-                f"values shape {v.shape} does not match grid "
-                f"({self.spec.n1}, {self.spec.n2}, 4)")
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _grid_values(self.spec, self.values))
 
     def as_field(self) -> SampledField:
         return SampledField(self.spec, self.values)
@@ -154,7 +149,7 @@ def correlate(f: SampledField, g: SampledField) -> SampledField:
     """(f o g)(x) = integral f(x + y) conj(g(y)) dy on the shared grid.
 
     Factor order f(x+y) * conj(g(y)) is preserved; g is zero outside
-    its box.  Direct summation.
+    its box.  Evaluated by zero-padded FFT.
     """
     _require_same_spec(f, g)
     spec = f.spec
@@ -164,18 +159,9 @@ def correlate(f: SampledField, g: SampledField) -> SampledField:
 
     # C[r] = sum_{r'} f[r + r' + o] gw[r'], equal to the full convolution
     # of f with gw flipped on both axes, sampled at (r + o) + (n - 1).
-    full = _conv_full_all_pairs(f.values, gw[::-1, ::-1])
-    out = np.zeros((n1, n2, 4))
-    r_lo, r_hi = max(0, -o1 - (n1 - 1)), min(n1, n1 - o1)
-    c_lo, c_hi = max(0, -o2 - (n2 - 1)), min(n2, n2 - o2)
-    for a in range(4):
-        for b in range(4):
-            comp, sign = _QTABLE[(a, b)]
-            out[r_lo:r_hi, c_lo:c_hi, comp] += sign * \
-                full[a, b,
-                     r_lo + o1 + n1 - 1:r_hi + o1 + n1 - 1,
-                     c_lo + o2 + n2 - 1:c_hi + o2 + n2 - 1]
-    return SampledField(spec, out)
+    full = _qconv_full(f.values, gw[::-1, ::-1])
+    return SampledField(
+        spec, _shifted_crop(full, o1 + n1 - 1, o2 + n2 - 1, n1, n2))
 
 
 def correlation_residual(f: SampledField, g: SampledField,

@@ -166,3 +166,29 @@ def test_malformed_grid_argument_exits_3(tmp_path):
     write_field(f, src)
     assert main(["transform", src, "--freq-grid=1,2,3",
                  "--out", str(tmp_path / "o.json")]) == 3
+
+
+def test_nonfinite_csv_cell_exits_2(tmp_path, capsys):
+    src = tmp_path / "f.csv"
+    write_field(_gaussian(17, 2.0), str(src))
+    lines = src.read_text().splitlines()
+    cells = lines[3].split(",")
+    cells[2] = "nan"
+    lines[3] = ",".join(cells)
+    src.write_text("\n".join(lines) + "\n")
+    assert main(["moments", str(src), "--out", str(tmp_path / "m.json")]) == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
+def test_nonfinite_json_spectrum_exits_2(tmp_path, capsys):
+    src = str(tmp_path / "f.csv")
+    spec_path = tmp_path / "s.json"
+    write_field(_gaussian(17, 2.0), src)
+    assert main(["transform", src, "--freq-grid=-4,4,-4,4,17,17",
+                 "--out", str(spec_path)]) == 0
+    doc = json.loads(spec_path.read_text())
+    doc["values"][1][2][0] = math.inf
+    spec_path.write_text(json.dumps(doc))
+    assert main(["invert", str(spec_path), "--grid=-2,2,-2,2,17,17",
+                 "--out", str(tmp_path / "o.csv")]) == 2
+    assert "non-finite value at node (1, 2)" in capsys.readouterr().err

@@ -31,6 +31,15 @@ def test_gridspec_validation():
         GridSpec(0.0, 1.0, 0.0, 1.0, 1, 5)
 
 
+def test_gridspec_rejects_nonfinite_bounds():
+    with pytest.raises(ValueError, match="finite"):
+        GridSpec(-math.inf, 1.0, 0.0, 1.0, 3, 3)
+    with pytest.raises(ValueError, match="finite"):
+        GridSpec(0.0, 1.0, 0.0, math.inf, 3, 3)
+    with pytest.raises(ValueError, match="finite"):
+        GridSpec(0.0, 1.0, math.nan, 1.0, 3, 3)
+
+
 def test_gridspec_geometry():
     spec = GridSpec(-1.0, 1.0, 0.0, 3.0, 5, 7)
     assert spec.h1 == pytest.approx(0.5)

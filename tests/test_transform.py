@@ -209,6 +209,12 @@ def test_correlate_factor_order():
     assert abs(center[0]) + abs(center[1]) + abs(center[2]) <= 1e-12
 
 
+def test_spectrum_rejects_nonfinite_values():
+    spec = GridSpec(-1.0, 1.0, -1.0, 1.0, 3, 3)
+    with pytest.raises(ValueError, match="non-finite"):
+        Spectrum(spec, np.full((3, 3, 4), math.nan), None)
+
+
 def test_inverse_requires_params():
     spec = GridSpec(-1.0, 1.0, -1.0, 1.0, 9, 9)
     s = Spectrum(spec, np.zeros((9, 9, 4)), None)
