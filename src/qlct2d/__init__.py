@@ -18,10 +18,8 @@ from .field import (GridSpec, SampledField, sample, integrate, l2_norm,
 from .lct import (LctParams, TransformParams, kernel_i, kernel_j,
                   inverse_params, fourier_params, kernel_matrix)
 from .transform import (Spectrum, forward, inverse as inverse_transform,
-                        parseval_ratio, convolution_residual, correlate,
-                        correlation_residual, normalized_convolution_residual,
-                        normalized_correlation_residual, phase_strip,
-                        spectrum_l2)
+                        parseval_ratio, correlate, phase_strip,
+                        product_residuals, spectrum_l2)
 from .prob import (Qpdf, QpdfReport, CharFn, MomentReport, validate_qpdf,
                    expectation, charfn, charfn_properties, invert_charfn,
                    fd_moment, covariance)

@@ -73,16 +73,11 @@ def _load_params(path: str) -> TransformParams:
     return TransformParams(p, p)
 
 
-def _default_freq(spec: GridSpec) -> GridSpec:
-    # frequency grid defaults to the spatial grid box
-    return spec
-
-
 def _cmd_transform(args) -> int:
     f = read_field(args.input)
     params = _load_params(args.params) if args.params else fourier_params()
-    freq = _parse_grid(args.freq_grid) if args.freq_grid \
-        else _default_freq(f.spec)
+    # the frequency grid defaults to the spatial grid box
+    freq = _parse_grid(args.freq_grid) if args.freq_grid else f.spec
     s = forward(f, params, freq)
     write_spectrum(s, args.out, args.format)
     return EXIT_OK
@@ -133,48 +128,46 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
+# each subcommand declares only the options it reads, so argparse
+# rejects any other with exit code 2
+_OPTIONS = {
+    "--params": dict(help="transform parameter JSON file"),
+    "--grid": dict(help="x1min,x1max,x2min,x2max,n1,n2"),
+    "--freq-grid": dict(help="frequency grid, same form as --grid"),
+    "--mode": dict(choices=("fourier", "lct"), default="fourier"),
+    "--format": dict(choices=("csv", "json"), default=None,
+                     help="output format (default: from extension)"),
+    "--quick": dict(action="store_true",
+                    help="reduced resolutions for a fast run"),
+    "--tol": dict(type=float, default=None, help="tolerance override"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="qlct2d",
         description="two-sided 2D quaternion linear canonical transform")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_input=True):
+    def add(name, help, func, *options):
+        p = sub.add_parser(name, help=help)
+        needs_input = name != "verify"
         if needs_input:
             p.add_argument("input", help="input grid file (csv or json)")
-        p.add_argument("--params", help="transform parameter JSON file")
-        p.add_argument("--grid", help="x1min,x1max,x2min,x2max,n1,n2")
-        p.add_argument("--freq-grid", dest="freq_grid",
-                       help="frequency grid, same form as --grid")
-        p.add_argument("--tol", type=float, default=None,
-                       help="tolerance override")
+        for opt in options:
+            p.add_argument(opt, **_OPTIONS[opt])
         p.add_argument("--out", required=needs_input, help="output path")
-        p.add_argument("--format", choices=("csv", "json"), default=None,
-                       help="output format (default: from extension)")
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("transform", help="forward transform of a field")
-    add_common(p)
-    p.set_defaults(func=_cmd_transform)
-
-    p = sub.add_parser("invert", help="inverse transform of a spectrum")
-    add_common(p)
-    p.set_defaults(func=_cmd_invert)
-
-    p = sub.add_parser("charfn", help="characteristic function of a density")
-    add_common(p)
-    p.add_argument("--mode", choices=("fourier", "lct"), default="fourier")
-    p.set_defaults(func=_cmd_charfn)
-
-    p = sub.add_parser("moments", help="moment and covariance report")
-    add_common(p)
-    p.set_defaults(func=_cmd_moments)
-
-    p = sub.add_parser("verify", help="run the verification suite")
-    add_common(p, needs_input=False)
-    p.add_argument("--quick", action="store_true",
-                   help="reduced resolutions for a fast run")
-    p.set_defaults(func=_cmd_verify)
-
+    add("transform", "forward transform of a field", _cmd_transform,
+        "--params", "--freq-grid", "--format")
+    add("invert", "inverse transform of a spectrum", _cmd_invert,
+        "--params", "--grid", "--format")
+    add("charfn", "characteristic function of a density", _cmd_charfn,
+        "--params", "--freq-grid", "--mode", "--format")
+    add("moments", "moment and covariance report", _cmd_moments)
+    add("verify", "run the verification suite", _cmd_verify,
+        "--quick", "--tol")
     return ap
 
 

@@ -103,14 +103,6 @@ class SampledField:
     def scale(self, s: float) -> "SampledField":
         return SampledField(self.spec, self.values * float(s))
 
-    def left_mul(self, q: Quaternion) -> "SampledField":
-        """Pointwise q * f(x) (constant on the left)."""
-        return SampledField(self.spec, _qmul_const_left(q, self.values))
-
-    def right_mul(self, q: Quaternion) -> "SampledField":
-        """Pointwise f(x) * q (constant on the right)."""
-        return SampledField(self.spec, _qmul_const_right(self.values, q))
-
 
 def _grid_values(spec: GridSpec, values) -> np.ndarray:
     """values as a float (n1, n2, 4) array; ValueError on a shape that
@@ -213,16 +205,6 @@ def qconj_values(q: np.ndarray) -> np.ndarray:
 def qnorm_values(q: np.ndarray) -> np.ndarray:
     """Pointwise modulus of a (..., 4) component array."""
     return np.sqrt(np.sum(q ** 2, axis=-1))
-
-
-def _qmul_const_left(q: Quaternion, v: np.ndarray) -> np.ndarray:
-    qa = np.array(q.components())
-    return qmul_values(np.broadcast_to(qa, v.shape), v)
-
-
-def _qmul_const_right(v: np.ndarray, q: Quaternion) -> np.ndarray:
-    qa = np.array(q.components())
-    return qmul_values(v, np.broadcast_to(qa, v.shape))
 
 
 def _origin_offset(spec: GridSpec) -> tuple[int, int]:

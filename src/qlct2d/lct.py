@@ -43,8 +43,9 @@ class LctParams:
         det = self.a * self.d - self.b * self.c
         if abs(det - 1.0) > _DET_TOL:
             raise ValueError(f"det(A) != 1 (got {det!r})")
-        if self.b == 0.0 and self.d == 0.0:
-            raise ValueError("b = 0 requires d != 0")
+        if self.b == 0.0 and self.d <= 0.0:
+            raise ValueError("b = 0 requires d > 0 (real kernel amplitude "
+                             "sqrt(d))")
 
     def to_dict(self) -> dict:
         return {"a": self.a, "b": self.b, "c": self.c, "d": self.d}
@@ -67,29 +68,6 @@ class TransformParams:
     @classmethod
     def from_dict(cls, d: dict) -> "TransformParams":
         return cls(LctParams.from_dict(d["A1"]), LctParams.from_dict(d["A2"]))
-
-
-def _kernel_amp_phase(p: LctParams, x: float, u: float) -> tuple[float, float]:
-    if p.b != 0.0:
-        amp = 1.0 / math.sqrt(2.0 * math.pi * abs(p.b))
-        phase = (p.a / (2.0 * p.b)) * x * x - x * u / p.b \
-            + (p.d / (2.0 * p.b)) * u * u - math.pi / 4.0
-        return amp, phase
-    if p.d <= 0.0:
-        raise ValueError("b = 0 kernel requires d > 0 (real amplitude sqrt(d))")
-    return math.sqrt(p.d), (p.c * p.d / 2.0) * u * u
-
-
-def kernel_i(p: LctParams, x1: float, u1: float) -> Quaternion:
-    """Axis-1 kernel value; lies in span{1, i}."""
-    amp, phase = _kernel_amp_phase(p, x1, u1)
-    return Quaternion(amp * math.cos(phase), amp * math.sin(phase), 0.0, 0.0)
-
-
-def kernel_j(p: LctParams, x2: float, u2: float) -> Quaternion:
-    """Axis-2 kernel value; lies in span{1, j}."""
-    amp, phase = _kernel_amp_phase(p, x2, u2)
-    return Quaternion(amp * math.cos(phase), 0.0, amp * math.sin(phase), 0.0)
 
 
 def inverse_params(p: LctParams) -> LctParams:
@@ -120,12 +98,21 @@ def kernel_matrix(p: LctParams, x: np.ndarray, u: np.ndarray,
                  + (p.d / (2.0 * p.b)) * u[None, :] ** 2
                  - math.pi / 4.0)
     else:
-        if p.d <= 0.0:
-            raise ValueError("b = 0 kernel requires d > 0 "
-                             "(real amplitude sqrt(d))")
         amp = math.sqrt(p.d)
         phase = np.broadcast_to((p.c * p.d / 2.0) * u[None, :] ** 2,
                                 (x.size, u.size))
     if conjugate:
         phase = -phase
     return amp * np.exp(1j * phase)
+
+
+def kernel_i(p: LctParams, x1: float, u1: float) -> Quaternion:
+    """Axis-1 kernel value; lies in span{1, i}."""
+    k = complex(kernel_matrix(p, np.array([x1]), np.array([u1]))[0, 0])
+    return Quaternion(k.real, k.imag, 0.0, 0.0)
+
+
+def kernel_j(p: LctParams, x2: float, u2: float) -> Quaternion:
+    """Axis-2 kernel value; lies in span{1, j}."""
+    k = complex(kernel_matrix(p, np.array([x2]), np.array([u2]))[0, 0])
+    return Quaternion(k.real, 0.0, k.imag, 0.0)

@@ -20,7 +20,8 @@ import numpy as np
 
 from .field import (GridSpec, SampledField, _grid_values, _origin_offset,
                     _qconv_full, _require_same_spec, _shifted_crop,
-                    _weights_2d, qconj_values, qmul_values, quad_weights_1d)
+                    _weights_2d, convolve, qconj_values, qmul_values,
+                    quad_weights_1d)
 from .lct import TransformParams, kernel_matrix
 
 __all__ = [
@@ -28,12 +29,9 @@ __all__ = [
     "forward",
     "inverse",
     "parseval_ratio",
-    "convolution_residual",
     "correlate",
-    "correlation_residual",
-    "normalized_convolution_residual",
-    "normalized_correlation_residual",
     "phase_strip",
+    "product_residuals",
     "spectrum_l2",
 ]
 
@@ -125,26 +123,6 @@ def parseval_ratio(f: SampledField, params: TransformParams,
     return spectrum_l2(s) ** 2 / e_field
 
 
-def convolution_residual(f: SampledField, g: SampledField,
-                         params: TransformParams, freq: GridSpec,
-                         scale: float = 1.0) -> float:
-    """Relative residual || T{f*g} - scale * T{f}.T{g} || / || T{f*g} ||.
-
-    A diagnostic: the printed product identity only holds for special
-    parameter/operand structure, so no threshold is implied here.
-    """
-    from .field import convolve
-
-    t_conv = forward(convolve(f, g), params, freq)
-    prod = qmul_values(forward(f, params, freq).values,
-                       forward(g, params, freq).values)
-    denom = spectrum_l2(t_conv)
-    if denom == 0.0:
-        raise ValueError("transform of the convolution is identically zero")
-    diff = Spectrum(freq, t_conv.values - scale * prod, params)
-    return spectrum_l2(diff) / denom
-
-
 def correlate(f: SampledField, g: SampledField) -> SampledField:
     """(f o g)(x) = integral f(x + y) conj(g(y)) dy on the shared grid.
 
@@ -164,61 +142,6 @@ def correlate(f: SampledField, g: SampledField) -> SampledField:
         spec, _shifted_crop(full, o1 + n1 - 1, o2 + n2 - 1, n1, n2))
 
 
-def correlation_residual(f: SampledField, g: SampledField,
-                         params: TransformParams, freq: GridSpec,
-                         scale: float = 1.0) -> float:
-    """Relative residual || T{f o g} - scale * T{f}.conj(T{g}) || / || T{f o g} ||."""
-    t_corr = forward(correlate(f, g), params, freq)
-    prod = qmul_values(forward(f, params, freq).values,
-                       qconj_values(forward(g, params, freq).values))
-    denom = spectrum_l2(t_corr)
-    if denom == 0.0:
-        raise ValueError("transform of the correlation is identically zero")
-    diff = Spectrum(freq, t_corr.values - scale * prod, params)
-    return spectrum_l2(diff) / denom
-
-
-def normalized_convolution_residual(f: SampledField, g: SampledField,
-                                    params: TransformParams,
-                                    freq: GridSpec) -> float:
-    """Residual of the convolution identity under constant-phase
-    normalization: || S{f*g} - 2*pi S{f}.S{g} || / || S{f*g} ||
-    with S = phase_strip(T).
-
-    This is the provable structured special case: for separable
-    f = alpha(x1) beta(x2), g = gamma(x1) delta(x2) with alpha in
-    span{1,i}, gamma real and even, beta/delta in span{1,j}, the
-    identity holds exactly.  The unnormalized form picks up the unit
-    factor e^{-j pi/4} e^{-i pi/4} between the kernels' constant
-    phases and misses by a fixed relative residual of 1.
-    """
-    from .field import convolve
-
-    t_conv = phase_strip(forward(convolve(f, g), params, freq))
-    prod = qmul_values(phase_strip(forward(f, params, freq)).values,
-                       phase_strip(forward(g, params, freq)).values)
-    denom = spectrum_l2(t_conv)
-    if denom == 0.0:
-        raise ValueError("transform of the convolution is identically zero")
-    diff = Spectrum(freq, t_conv.values - 2.0 * math.pi * prod, params)
-    return spectrum_l2(diff) / denom
-
-
-def normalized_correlation_residual(f: SampledField, g: SampledField,
-                                    params: TransformParams,
-                                    freq: GridSpec) -> float:
-    """Correlation counterpart of normalized_convolution_residual:
-    || S{f o g} - 2*pi S{f}.conj(S{g}) || / || S{f o g} ||."""
-    t_corr = phase_strip(forward(correlate(f, g), params, freq))
-    prod = qmul_values(phase_strip(forward(f, params, freq)).values,
-                       qconj_values(phase_strip(forward(g, params, freq)).values))
-    denom = spectrum_l2(t_corr)
-    if denom == 0.0:
-        raise ValueError("transform of the correlation is identically zero")
-    diff = Spectrum(freq, t_corr.values - 2.0 * math.pi * prod, params)
-    return spectrum_l2(diff) / denom
-
-
 def phase_strip(s: Spectrum) -> Spectrum:
     """Remove the kernels' constant -pi/4 phases: e^{i pi/4} T e^{j pi/4}.
 
@@ -231,3 +154,32 @@ def phase_strip(s: Spectrum) -> Spectrum:
     v = qmul_values(np.broadcast_to(ei, s.values.shape), s.values)
     v = qmul_values(v, np.broadcast_to(ej, v.shape))
     return Spectrum(s.spec, v, s.params)
+
+
+def product_residuals(f: SampledField, g: SampledField,
+                      params: TransformParams, freq: GridSpec,
+                      correlation: bool = False) -> tuple[float, float]:
+    """Relative residuals || T{h} - 2*pi T{f}.T{g}' || / || T{h} || of the
+    product identities, with h = f * g and T{g}' = T{g}, or with
+    correlation=True h = f o g and T{g}' = conj(T{g}).
+
+    Returns (literal, normalized): the residual on the transforms as they
+    are, and on S = phase_strip(T).  The normalized identity holds exactly
+    for separable f = alpha(x1) beta(x2), g = gamma(x1) delta(x2) with
+    alpha in span{1,i}, gamma real and even, beta/delta in span{1,j};
+    there the literal form picks up the unit factor e^{-j pi/4} e^{-i pi/4}
+    between the kernels' constant phases and misses by exactly 1.  For
+    other pairs both values are diagnostics with no threshold implied.
+    """
+    h = correlate(f, g) if correlation else convolve(f, g)
+    spectra = [forward(x, params, freq) for x in (h, f, g)]
+    if spectrum_l2(spectra[0]) == 0.0:
+        op = "correlation" if correlation else "convolution"
+        raise ValueError(f"transform of the {op} is identically zero")
+
+    def residual(th: Spectrum, tf: Spectrum, tg: Spectrum) -> float:
+        tgv = qconj_values(tg.values) if correlation else tg.values
+        diff = th.values - 2.0 * math.pi * qmul_values(tf.values, tgv)
+        return spectrum_l2(Spectrum(freq, diff, params)) / spectrum_l2(th)
+
+    return residual(*spectra), residual(*map(phase_strip, spectra))

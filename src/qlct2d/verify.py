@@ -28,10 +28,8 @@ from .lct import LctParams, TransformParams, fourier_params, kernel_i
 from .prob import (charfn, charfn_properties, covariance, expectation,
                    fd_moment, invert_charfn, validate_qpdf)
 from .quaternion import Quaternion, exp_i, inverse, mul
-from .transform import (convolution_residual, correlation_residual, forward,
-                        inverse as lct_inverse,
-                        normalized_convolution_residual,
-                        normalized_correlation_residual, parseval_ratio)
+from .transform import (forward, inverse as lct_inverse, parseval_ratio,
+                        product_residuals)
 
 __all__ = [
     "Claim",
@@ -437,8 +435,7 @@ def run_verify(quick: bool = False, tol: float | None = None) -> list[Claim]:
     cn = ns["conv"]
     cfreq = GridSpec(-5.0, 5.0, -5.0, 5.0, ns["freq"], ns["freq"])
     fs, gs = structured_pair(cn)
-    lit_conv = convolution_residual(fs, gs, four, cfreq, scale=2.0 * math.pi)
-    nrm_conv = normalized_convolution_residual(fs, gs, four, cfreq)
+    lit_conv, nrm_conv = product_residuals(fs, gs, four, cfreq)
     ok = nrm_conv <= th(1e-2) and abs(lit_conv - 1.0) <= th(1e-6)
     claims.append(Claim(
         "theorem2.convolution_structured",
@@ -453,7 +450,7 @@ def run_verify(quick: bool = False, tol: float | None = None) -> list[Claim]:
         "relative residual of exactly 1"))
 
     fg, gg = generic_pair(cn)
-    gen_conv = convolution_residual(fg, gg, sp, cfreq, scale=2.0 * math.pi)
+    gen_conv, _ = product_residuals(fg, gg, sp, cfreq)
     claims.append(Claim(
         "theorem2.convolution_generic",
         "no validity claim (kernel additivity and commutation both fail)",
@@ -462,8 +459,8 @@ def run_verify(quick: bool = False, tol: float | None = None) -> list[Claim]:
         "non-commuting pair with k-components under shear parameters; "
         "reported with no pass threshold"))
 
-    lit_corr = correlation_residual(fs, gs, four, cfreq, scale=2.0 * math.pi)
-    nrm_corr = normalized_correlation_residual(fs, gs, four, cfreq)
+    lit_corr, nrm_corr = product_residuals(fs, gs, four, cfreq,
+                                           correlation=True)
     ok = nrm_corr <= th(1e-2) and abs(lit_corr - 1.0) <= th(1e-6)
     claims.append(Claim(
         "theorem3.correlation_structured",
@@ -473,7 +470,7 @@ def run_verify(quick: bool = False, tol: float | None = None) -> list[Claim]:
         "reproduced-with-different-constant", True, ok,
         "same constant-phase factor as the convolution identity"))
 
-    gen_corr = correlation_residual(fg, gg, sp, cfreq, scale=2.0 * math.pi)
+    gen_corr, _ = product_residuals(fg, gg, sp, cfreq, correlation=True)
     claims.append(Claim(
         "theorem3.correlation_generic",
         "no validity claim",

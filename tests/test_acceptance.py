@@ -14,9 +14,8 @@ from qlct2d.gridio import write_field
 from qlct2d.lct import LctParams, TransformParams, fourier_params
 from qlct2d.prob import charfn, charfn_properties, covariance, fd_moment
 from qlct2d.quaternion import Quaternion, conj
-from qlct2d.transform import (convolution_residual, correlation_residual,
-                              forward, inverse, normalized_convolution_residual,
-                              normalized_correlation_residual, parseval_ratio)
+from qlct2d.transform import (forward, inverse, parseval_ratio,
+                              product_residuals)
 from qlct2d.verify import (example1_numerator, example2_charfn_oracle,
                            example2_density, run_verify)
 
@@ -154,15 +153,13 @@ def test_criterion_06_convolution_correlation(ledger):
     n = 129
     freq = GridSpec(-5.0, 5.0, -5.0, 5.0, 81, 81)
     f, g = structured_pair(n)
-    nrm_conv = normalized_convolution_residual(f, g, FOUR, freq)
-    nrm_corr = normalized_correlation_residual(f, g, FOUR, freq)
-    lit_conv = convolution_residual(f, g, FOUR, freq, scale=2.0 * math.pi)
-    lit_corr = correlation_residual(f, g, FOUR, freq, scale=2.0 * math.pi)
+    lit_conv, nrm_conv = product_residuals(f, g, FOUR, freq)
+    lit_corr, nrm_corr = product_residuals(f, g, FOUR, freq, correlation=True)
     shear = TransformParams(LctParams(1.0, 0.5, 0.0, 1.0),
                             LctParams(1.0, 0.5, 0.0, 1.0))
     fg, gg = generic_pair(n)
-    gen_conv = convolution_residual(fg, gg, shear, freq, scale=2.0 * math.pi)
-    gen_corr = correlation_residual(fg, gg, shear, freq, scale=2.0 * math.pi)
+    gen_conv, _ = product_residuals(fg, gg, shear, freq)
+    gen_corr, _ = product_residuals(fg, gg, shear, freq, correlation=True)
     ok = (nrm_conv <= 1e-2 and nrm_corr <= 1e-2
           and abs(lit_conv - 1.0) <= 1e-6 and abs(lit_corr - 1.0) <= 1e-6
           and math.isfinite(gen_conv) and math.isfinite(gen_corr)

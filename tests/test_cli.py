@@ -192,3 +192,24 @@ def test_nonfinite_json_spectrum_exits_2(tmp_path, capsys):
     assert main(["invert", str(spec_path), "--grid=-2,2,-2,2,17,17",
                  "--out", str(tmp_path / "o.csv")]) == 2
     assert "non-finite value at node (1, 2)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["moments", "f.csv", "--params", "missing.json", "--out", "m.json"],
+    ["transform", "f.csv", "--grid=-1,1,-1,1,5,5", "--out", "o.json"],
+    ["verify", "--quick", "--format", "json"],
+], ids=["moments-params", "transform-grid", "verify-format"])
+def test_flag_the_subcommand_ignores_exits_2(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_b_zero_nonpositive_d_params_exit_3(tmp_path, capsys):
+    f = _gaussian(17, 2.0)
+    src = str(tmp_path / "f.csv")
+    write_field(f, src)
+    bad = _write_params(tmp_path / "params.json", a=-2.0, b=0.0, c=3.0, d=-0.5)
+    assert main(["transform", src, "--params", bad,
+                 "--out", str(tmp_path / "o.json")]) == 3
+    assert "d > 0" in capsys.readouterr().err

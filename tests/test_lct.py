@@ -70,11 +70,9 @@ def test_b_zero_kernel():
 
 
 def test_b_zero_kernel_needs_positive_d():
-    p = LctParams(-2.0, 0.0, 3.0, -0.5)
+    # rejected when the matrix is built, before any kernel is evaluated
     with pytest.raises(ValueError, match="d > 0"):
-        kernel_i(p, 0.0, 0.0)
-    with pytest.raises(ValueError, match="d > 0"):
-        kernel_matrix(p, np.zeros(2), np.zeros(2))
+        LctParams(-2.0, 0.0, 3.0, -0.5)
 
 
 def test_inverse_params_matrix():

@@ -8,11 +8,9 @@ import pytest
 from qlct2d.field import (GridSpec, SampledField, l2_norm, quad_weights_1d,
                           sample)
 from qlct2d.lct import LctParams, TransformParams, fourier_params
-from qlct2d.transform import (Spectrum, convolution_residual, correlate,
-                              correlation_residual, forward, inverse,
-                              normalized_convolution_residual,
-                              normalized_correlation_residual, parseval_ratio,
-                              phase_strip, spectrum_l2)
+from qlct2d.transform import (Spectrum, correlate, forward, inverse,
+                              parseval_ratio, phase_strip, product_residuals,
+                              spectrum_l2)
 
 FOUR = fourier_params()
 
@@ -161,18 +159,16 @@ def test_spectrum_l2_matches_field_norm():
 def test_structured_pair_convolution_identity():
     f, g = _structured_pair(65)
     freq = GridSpec(-5.0, 5.0, -5.0, 5.0, 41, 41)
-    nrm = normalized_convolution_residual(f, g, FOUR, freq)
+    lit, nrm = product_residuals(f, g, FOUR, freq)
     assert nrm <= 1e-2
-    lit = convolution_residual(f, g, FOUR, freq, scale=2.0 * math.pi)
     assert lit == pytest.approx(1.0, abs=1e-6)
 
 
 def test_structured_pair_correlation_identity():
     f, g = _structured_pair(65)
     freq = GridSpec(-5.0, 5.0, -5.0, 5.0, 41, 41)
-    nrm = normalized_correlation_residual(f, g, FOUR, freq)
+    lit, nrm = product_residuals(f, g, FOUR, freq, correlation=True)
     assert nrm <= 1e-2
-    lit = correlation_residual(f, g, FOUR, freq, scale=2.0 * math.pi)
     assert lit == pytest.approx(1.0, abs=1e-6)
 
 
@@ -182,8 +178,9 @@ def test_generic_pair_residuals_are_finite():
     f = _bump(65, box=6.0)
     g = _gaussian(65, box=6.0)
     freq = GridSpec(-5.0, 5.0, -5.0, 5.0, 21, 21)
-    assert math.isfinite(convolution_residual(f, g, sp, freq))
-    assert math.isfinite(correlation_residual(f, g, sp, freq))
+    for correlation in (False, True):
+        lit, nrm = product_residuals(f, g, sp, freq, correlation=correlation)
+        assert math.isfinite(lit) and math.isfinite(nrm)
 
 
 def test_autocorrelation_peaks_at_origin():
