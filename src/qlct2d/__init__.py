@@ -1,16 +1,6 @@
 """qlct2d: two-sided two-dimensional quaternion linear canonical
 transform with a probability layer and a verification suite."""
 
-import os as _os
-
-# Cap BLAS parallelism before numpy loads so QLCT_THREADS takes effect
-# for the CLI entry point and for fresh interpreter sessions.
-_threads = _os.environ.get("QLCT_THREADS")
-if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        _os.environ.setdefault(_var, _threads)
-
 from .quaternion import (Quaternion, ONE, I, J, K, mul, conj, norm, inverse,
                          exp_i, exp_j, sc, vec, dot, cross, isclose)
 from .field import (GridSpec, SampledField, sample, integrate, l2_norm,
@@ -19,7 +9,7 @@ from .lct import (LctParams, TransformParams, kernel_i, kernel_j,
                   inverse_params, fourier_params, kernel_matrix)
 from .transform import (Spectrum, forward, inverse as inverse_transform,
                         parseval_ratio, correlate, phase_strip,
-                        product_residuals, spectrum_l2)
+                        product_residuals)
 from .prob import (Qpdf, QpdfReport, CharFn, MomentReport, validate_qpdf,
                    expectation, charfn, charfn_properties, invert_charfn,
                    fd_moment, covariance)

@@ -5,8 +5,7 @@ are CSV (with a JSON sidecar header) or single-file JSON; parameters
 are JSON files with per-axis unimodular matrices.
 
 Exit codes: 0 success, 2 input/parse error, 3 config/invariant
-violation, 4 verification failure.  The environment variable
-QLCT_THREADS caps BLAS parallelism.
+violation, 4 verification failure.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .quaternion import Quaternion
+from .quaternion import Quaternion, _hamilton
 
 __all__ = [
     "GridSpec",
@@ -186,14 +186,8 @@ def inner_product(f: SampledField, g: SampledField) -> Quaternion:
 
 def qmul_values(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Pointwise Hamilton product of two (..., 4) component arrays (p*q)."""
-    p0, p1, p2, p3 = (p[..., m] for m in range(4))
-    q0, q1, q2, q3 = (q[..., m] for m in range(4))
-    return np.stack([
-        p0 * q0 - p1 * q1 - p2 * q2 - p3 * q3,
-        p0 * q1 + p1 * q0 + p2 * q3 - p3 * q2,
-        p0 * q2 - p1 * q3 + p2 * q0 + p3 * q1,
-        p0 * q3 + p1 * q2 - p2 * q1 + p3 * q0,
-    ], axis=-1)
+    return np.stack(_hamilton(*np.moveaxis(p, -1, 0), *np.moveaxis(q, -1, 0)),
+                    axis=-1)
 
 
 def qconj_values(q: np.ndarray) -> np.ndarray:

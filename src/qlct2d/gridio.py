@@ -64,17 +64,14 @@ def _header_dict(spec: GridSpec, params: TransformParams | None) -> dict:
 
 def _write_csv(path: str, spec: GridSpec, values: np.ndarray,
                params: TransformParams | None):
-    x1 = spec.x1_nodes()
-    x2 = spec.x2_nodes()
+    # csv writes a Python float with repr, so the cells round-trip
+    table = np.column_stack([np.repeat(spec.x1_nodes(), spec.n2),
+                             np.tile(spec.x2_nodes(), spec.n1),
+                             values.reshape(-1, 4)])
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(_CSV_HEADER)
-        for r in range(spec.n1):
-            for c in range(spec.n2):
-                q = values[r, c]
-                w.writerow([repr(float(x1[r])), repr(float(x2[c])),
-                            repr(float(q[0])), repr(float(q[1])),
-                            repr(float(q[2])), repr(float(q[3]))])
+        w.writerows(table.tolist())
     with open(_sidecar_path(path), "w") as fh:
         json.dump(_header_dict(spec, params), fh, indent=1)
         fh.write("\n")
@@ -91,6 +88,17 @@ def _infer_spec_from_columns(x1: np.ndarray, x2: np.ndarray) -> GridSpec:
     n1 = x1.size // n2
     return GridSpec(float(x1[0]), float(x1[-1]),
                     float(x2[0]), float(x2[n2 - 1]), n1, n2)
+
+
+def _from_header(path: str, parse, entry):
+    """parse(entry) for a GridSpec or TransformParams header entry; a
+    missing or mistyped key is a ParseError naming the file, while an
+    invariant violation stays a ValueError."""
+    try:
+        return parse(entry)
+    except (KeyError, TypeError) as e:
+        raise ParseError(f"{path}: malformed header "
+                         f"({type(e).__name__}: {e})") from e
 
 
 def _read_csv(path: str) -> tuple[GridSpec, np.ndarray, TransformParams | None]:
@@ -121,14 +129,17 @@ def _read_csv(path: str) -> tuple[GridSpec, np.ndarray, TransformParams | None]:
     params = None
     side = _sidecar_path(path)
     if os.path.exists(side):
-        with open(side) as fh:
-            try:
+        try:
+            with open(side) as fh:
                 header = json.load(fh)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"{side}: invalid JSON ({e})") from e
-        spec = GridSpec.from_dict(header)
+        except OSError as e:
+            raise ParseError(f"cannot read {side}: {e}") from e
+        except json.JSONDecodeError as e:
+            raise ParseError(f"{side}: invalid JSON ({e})") from e
+        spec = _from_header(side, GridSpec.from_dict, header)
         if "params" in header:
-            params = TransformParams.from_dict(header["params"])
+            params = _from_header(side, TransformParams.from_dict,
+                                  header["params"])
     else:
         spec = _infer_spec_from_columns(data[:, 0], data[:, 1])
     if data.shape[0] != spec.n1 * spec.n2:
@@ -158,14 +169,14 @@ def _read_json(path: str) -> tuple[GridSpec, np.ndarray, TransformParams | None]
         raise ParseError(f"{path}: invalid JSON ({e})") from e
     if not isinstance(doc, dict) or "grid" not in doc or "values" not in doc:
         raise ParseError(f"{path}: expected an object with grid and values")
-    spec = GridSpec.from_dict(doc["grid"])
+    spec = _from_header(path, GridSpec.from_dict, doc["grid"])
     try:
         values = _grid_values(spec, doc["values"])
     except ValueError as e:
         raise ParseError(f"{path}: {e}") from e
     params = None
     if "params" in doc:
-        params = TransformParams.from_dict(doc["params"])
+        params = _from_header(path, TransformParams.from_dict, doc["params"])
     return spec, values, params
 
 

@@ -103,7 +103,7 @@ class CharFn:
             raise ValueError("lct mode requires transform parameters")
 
     def at(self, r: int, c: int) -> Quaternion:
-        return self.spectrum.as_field().at(r, c)
+        return self.spectrum.at(r, c)
 
 
 def _field_of(f) -> SampledField:

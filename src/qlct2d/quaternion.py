@@ -41,8 +41,10 @@ class Quaternion:
 
     def __post_init__(self):
         # normalize numpy scalars and ints to plain floats
-        for name in ("q0", "q1", "q2", "q3"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+        object.__setattr__(self, "q0", float(self.q0))
+        object.__setattr__(self, "q1", float(self.q1))
+        object.__setattr__(self, "q2", float(self.q2))
+        object.__setattr__(self, "q3", float(self.q3))
 
     def __add__(self, other):
         other = _coerce(other)
@@ -105,14 +107,18 @@ J = Quaternion(0.0, 0.0, 1.0)
 K = Quaternion(0.0, 0.0, 0.0, 1.0)
 
 
+def _hamilton(p0, p1, p2, p3, q0, q1, q2, q3):
+    """Components of the Hamilton product p*q, on floats or on arrays."""
+    return (p0 * q0 - p1 * q1 - p2 * q2 - p3 * q3,
+            p0 * q1 + p1 * q0 + p2 * q3 - p3 * q2,
+            p0 * q2 - p1 * q3 + p2 * q0 + p3 * q1,
+            p0 * q3 + p1 * q2 - p2 * q1 + p3 * q0)
+
+
 def mul(p: Quaternion, q: Quaternion) -> Quaternion:
     """Hamilton product p*q (non-commutative; i*j = k, j*i = -k, ...)."""
-    return Quaternion(
-        p.q0 * q.q0 - p.q1 * q.q1 - p.q2 * q.q2 - p.q3 * q.q3,
-        p.q0 * q.q1 + p.q1 * q.q0 + p.q2 * q.q3 - p.q3 * q.q2,
-        p.q0 * q.q2 - p.q1 * q.q3 + p.q2 * q.q0 + p.q3 * q.q1,
-        p.q0 * q.q3 + p.q1 * q.q2 - p.q2 * q.q1 + p.q3 * q.q0,
-    )
+    return Quaternion(*_hamilton(p.q0, p.q1, p.q2, p.q3,
+                                 q.q0, q.q1, q.q2, q.q3))
 
 
 def conj(q: Quaternion) -> Quaternion:

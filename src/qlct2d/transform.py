@@ -14,14 +14,13 @@ affordable without any FFT factorization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .field import (GridSpec, SampledField, _grid_values, _origin_offset,
-                    _qconv_full, _require_same_spec, _shifted_crop,
-                    _weights_2d, convolve, qconj_values, qmul_values,
-                    quad_weights_1d)
+from .field import (GridSpec, SampledField, _origin_offset, _qconv_full,
+                    _require_same_spec, _shifted_crop, _weights_2d, convolve,
+                    l2_norm, qconj_values, qmul_values, quad_weights_1d)
 from .lct import TransformParams, kernel_matrix
 
 __all__ = [
@@ -32,23 +31,16 @@ __all__ = [
     "correlate",
     "phase_strip",
     "product_residuals",
-    "spectrum_l2",
 ]
 
 
 @dataclass(frozen=True)
-class Spectrum:
-    """Transform values over a (u1, u2) frequency grid."""
+class Spectrum(SampledField):
+    """Transform values over a (u1, u2) frequency grid, with the
+    parameters that produced them (None when there are none, as for a
+    fourier-mode characteristic function)."""
 
-    spec: GridSpec
-    values: np.ndarray = dc_field(repr=False)
     params: TransformParams | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _grid_values(self.spec, self.values))
-
-    def as_field(self) -> SampledField:
-        return SampledField(self.spec, self.values)
 
 
 def _sandwich(values: np.ndarray, kl: np.ndarray, kr: np.ndarray) -> np.ndarray:
@@ -106,12 +98,6 @@ def inverse(s: Spectrum, space: GridSpec) -> SampledField:
     return SampledField(space, _sandwich(s.values, kl, kr))
 
 
-def spectrum_l2(s: Spectrum) -> float:
-    """L2 norm of a spectrum over its frequency box."""
-    w = _weights_2d(s.spec)
-    return float(np.sqrt(np.sum(w * np.sum(s.values ** 2, axis=-1))))
-
-
 def parseval_ratio(f: SampledField, params: TransformParams,
                    freq: GridSpec) -> float:
     """Measured (spectrum energy) / (field energy); no constant asserted."""
@@ -120,7 +106,7 @@ def parseval_ratio(f: SampledField, params: TransformParams,
     if e_field == 0.0:
         raise ValueError("parseval_ratio requires a nonzero field")
     s = forward(f, params, freq)
-    return spectrum_l2(s) ** 2 / e_field
+    return l2_norm(s) ** 2 / e_field
 
 
 def correlate(f: SampledField, g: SampledField) -> SampledField:
@@ -173,13 +159,13 @@ def product_residuals(f: SampledField, g: SampledField,
     """
     h = correlate(f, g) if correlation else convolve(f, g)
     spectra = [forward(x, params, freq) for x in (h, f, g)]
-    if spectrum_l2(spectra[0]) == 0.0:
+    if l2_norm(spectra[0]) == 0.0:
         op = "correlation" if correlation else "convolution"
         raise ValueError(f"transform of the {op} is identically zero")
 
     def residual(th: Spectrum, tf: Spectrum, tg: Spectrum) -> float:
         tgv = qconj_values(tg.values) if correlation else tg.values
         diff = th.values - 2.0 * math.pi * qmul_values(tf.values, tgv)
-        return spectrum_l2(Spectrum(freq, diff, params)) / spectrum_l2(th)
+        return l2_norm(SampledField(freq, diff)) / l2_norm(th)
 
     return residual(*spectra), residual(*map(phase_strip, spectra))

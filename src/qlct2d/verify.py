@@ -81,72 +81,72 @@ def _qdiff(p: Quaternion, q: Quaternion) -> float:
 # ---------------------------------------------------------------------------
 # fixtures (closed-form fields on fixed grids; all deterministic)
 
+def _mesh(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Node coordinates as a column (x1) and a row (x2)."""
+    return spec.x1_nodes()[:, None], spec.x2_nodes()[None, :]
+
+
+def _field(spec: GridSpec, *components) -> SampledField:
+    """Field whose leading components (1, i, j, k order) are the given
+    arrays or scalars broadcast over the grid; the rest are zero."""
+    v = np.zeros((spec.n1, spec.n2, 4))
+    for m, comp in enumerate(components):
+        v[..., m] = comp
+    return SampledField(spec, v)
+
+
+def _ij(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Components of [a]_i [b]_j for complex 1-D a (axis 1) and b
+    (axis 2): (p + iq)(c + jd) = pc + i qc + j pd + k qd."""
+    p, q = a.real[:, None], a.imag[:, None]
+    c, d = b.real[None, :], b.imag[None, :]
+    return p * c, q * c, p * d, q * d
+
+
 def example1_numerator(n: int) -> SampledField:
     """(2x1+x2) + i(x1^2-x2^2) + j x1 x2 + k(3x1-x2) on [0,2]^2."""
     spec = GridSpec(0.0, 2.0, 0.0, 2.0, n, n)
-    x1 = spec.x1_nodes()[:, None]
-    x2 = spec.x2_nodes()[None, :]
-    v = np.empty((n, n, 4))
-    v[..., 0] = 2.0 * x1 + x2
-    v[..., 1] = x1 ** 2 - x2 ** 2
-    v[..., 2] = x1 * x2
-    v[..., 3] = 3.0 * x1 - x2
-    return SampledField(spec, v)
+    x1, x2 = _mesh(spec)
+    return _field(spec, 2.0 * x1 + x2, x1 ** 2 - x2 ** 2, x1 * x2,
+                  3.0 * x1 - x2)
 
 
 def example2_density(n: int) -> SampledField:
     """x1 + j x2 on [0,1]^2."""
     spec = GridSpec(0.0, 1.0, 0.0, 1.0, n, n)
-    x1 = spec.x1_nodes()[:, None]
-    x2 = spec.x2_nodes()[None, :]
-    v = np.zeros((n, n, 4))
-    v[..., 0] = np.broadcast_to(x1, (n, n))
-    v[..., 2] = np.broadcast_to(x2, (n, n))
-    return SampledField(spec, v)
+    x1, x2 = _mesh(spec)
+    return _field(spec, x1, 0.0, x2)
 
 
 def gaussian_pdf(n: int, box: float = 8.0, s1: float = 1.0,
                  s2: float = 1.0) -> SampledField:
     """Normalized real Gaussian density on [-box, box]^2."""
     spec = GridSpec(-box, box, -box, box, n, n)
-    x1 = spec.x1_nodes()[:, None]
-    x2 = spec.x2_nodes()[None, :]
-    v = np.zeros((n, n, 4))
-    v[..., 0] = np.exp(-x1 ** 2 / (2 * s1 ** 2) - x2 ** 2 / (2 * s2 ** 2)) \
-        / (2.0 * math.pi * s1 * s2)
-    return SampledField(spec, v)
+    x1, x2 = _mesh(spec)
+    return _field(spec, np.exp(-x1 ** 2 / (2 * s1 ** 2)
+                               - x2 ** 2 / (2 * s2 ** 2))
+                  / (2.0 * math.pi * s1 * s2))
 
 
 def gaussian_test_field(n: int, box: float = 8.0) -> SampledField:
     """Unnormalized Gaussian e^{-(x1^2+x2^2)/2} as a scalar field."""
     spec = GridSpec(-box, box, -box, box, n, n)
-    x1 = spec.x1_nodes()[:, None]
-    x2 = spec.x2_nodes()[None, :]
-    v = np.zeros((n, n, 4))
-    v[..., 0] = np.exp(-(x1 ** 2 + x2 ** 2) / 2.0)
-    return SampledField(spec, v)
+    x1, x2 = _mesh(spec)
+    return _field(spec, np.exp(-(x1 ** 2 + x2 ** 2) / 2.0))
 
 
 def bump_field(n: int, box: float = 8.0) -> SampledField:
     """Smooth quaternion-valued bump, anisotropic and off-center."""
     spec = GridSpec(-box, box, -box, box, n, n)
-    x1 = spec.x1_nodes()[:, None]
-    x2 = spec.x2_nodes()[None, :]
+    x1, x2 = _mesh(spec)
     g = np.exp(-0.8 * (x1 - 0.7) ** 2 - 1.3 * (x2 + 0.4) ** 2)
-    v = np.empty((n, n, 4))
-    v[..., 0] = g
-    v[..., 1] = 0.5 * g * np.cos(x1)
-    v[..., 2] = 0.3 * g * np.sin(x2)
-    v[..., 3] = 0.2 * g * x1 * x2 / (1.0 + x1 ** 2 + x2 ** 2)
-    return SampledField(spec, v)
+    return _field(spec, g, 0.5 * g * np.cos(x1), 0.3 * g * np.sin(x2),
+                  0.2 * g * x1 * x2 / (1.0 + x1 ** 2 + x2 ** 2))
 
 
 def uniform_pdf(n: int) -> SampledField:
     """Uniform density 1 on [0,1]^2."""
-    spec = GridSpec(0.0, 1.0, 0.0, 1.0, n, n)
-    v = np.zeros((n, n, 4))
-    v[..., 0] = 1.0
-    return SampledField(spec, v)
+    return _field(GridSpec(0.0, 1.0, 0.0, 1.0, n, n), 1.0)
 
 
 def correlated_pdf(n: int, x1_min: float = 0.0) -> SampledField:
@@ -157,20 +157,15 @@ def correlated_pdf(n: int, x1_min: float = 0.0) -> SampledField:
     """
     spec = GridSpec(x1_min, x1_min + 1.0, 0.0, 1.0, n, n)
     t1 = np.linspace(0.0, 1.0, n)[:, None]
-    x2 = spec.x2_nodes()[None, :]
-    v = np.zeros((n, n, 4))
-    v[..., 0] = (1.0 + t1 * x2) / 1.25
-    return SampledField(spec, v)
+    _, x2 = _mesh(spec)
+    return _field(spec, (1.0 + t1 * x2) / 1.25)
 
 
 def anticorrelated_pdf(n: int) -> SampledField:
     """1 - (x1-1/2)(x2-1/2) on [0,1]^2: negatively correlated."""
     spec = GridSpec(0.0, 1.0, 0.0, 1.0, n, n)
-    x1 = spec.x1_nodes()[:, None]
-    x2 = spec.x2_nodes()[None, :]
-    v = np.zeros((n, n, 4))
-    v[..., 0] = 1.0 - (x1 - 0.5) * (x2 - 0.5)
-    return SampledField(spec, v)
+    x1, x2 = _mesh(spec)
+    return _field(spec, 1.0 - (x1 - 0.5) * (x2 - 0.5))
 
 
 def constant_x1_pdf(n: int) -> SampledField:
@@ -178,9 +173,7 @@ def constant_x1_pdf(n: int) -> SampledField:
     spec = GridSpec(0.0, 1.0, 0.0, 1.0, n, n)
     r = n // 2
     w1 = quad_weights_1d(n, spec.h1)
-    v = np.zeros((n, n, 4))
-    v[r, :, 0] = 1.0 / w1[r]
-    return SampledField(spec, v)
+    return _field(spec, np.where(np.arange(n)[:, None] == r, 1.0 / w1[r], 0.0))
 
 
 def structured_pair(n: int, box: float = 6.0) -> tuple[SampledField, SampledField]:
@@ -190,45 +183,27 @@ def structured_pair(n: int, box: float = 6.0) -> tuple[SampledField, SampledFiel
     g = gamma(x1) delta(x2) with gamma real and even, delta in span{1,j}.
     """
     spec = GridSpec(-box, box, -box, box, n, n)
-    x1 = spec.x1_nodes()[:, None]
-    x2 = spec.x2_nodes()[None, :]
+    x1, x2 = _mesh(spec)
     aa = np.exp(-x1 ** 2)
     ab = x1 * np.exp(-x1 ** 2)
     bc = np.exp(-x2 ** 2)
     bd = 0.5 * np.exp(-x2 ** 2)
-    # (aa + i ab)(bc + j bd) = aa*bc + i ab*bc + j aa*bd + k ab*bd
-    fv = np.empty((n, n, 4))
-    fv[..., 0] = aa * bc
-    fv[..., 1] = ab * bc
-    fv[..., 2] = aa * bd
-    fv[..., 3] = ab * bd
     gamma = np.exp(-2.0 * x1 ** 2)
     dc = np.exp(-x2 ** 2)
     dd = x2 * np.exp(-x2 ** 2)
-    gv = np.zeros((n, n, 4))
-    gv[..., 0] = gamma * dc
-    gv[..., 2] = gamma * dd
-    return SampledField(spec, fv), SampledField(spec, gv)
+    # (aa + i ab)(bc + j bd) = aa*bc + i ab*bc + j aa*bd + k ab*bd
+    return (_field(spec, aa * bc, ab * bc, aa * bd, ab * bd),
+            _field(spec, gamma * dc, 0.0, gamma * dd))
 
 
 def generic_pair(n: int, box: float = 6.0) -> tuple[SampledField, SampledField]:
     """Non-commuting, non-separable pair with k-components."""
     spec = GridSpec(-box, box, -box, box, n, n)
-    x1 = spec.x1_nodes()[:, None]
-    x2 = spec.x2_nodes()[None, :]
+    x1, x2 = _mesh(spec)
     g1 = np.exp(-(x1 ** 2 + x2 ** 2) / 2.0)
-    fv = np.empty((n, n, 4))
-    fv[..., 0] = g1
-    fv[..., 1] = 0.5 * g1 * x1
-    fv[..., 2] = 0.3 * g1 * x2
-    fv[..., 3] = 0.7 * g1 * x1 * x2
     g2 = np.exp(-((x1 - 0.5) ** 2 + x2 ** 2) / 2.0)
-    gv = np.empty((n, n, 4))
-    gv[..., 0] = g2
-    gv[..., 1] = 0.0
-    gv[..., 2] = 0.0
-    gv[..., 3] = g2
-    return SampledField(spec, fv), SampledField(spec, gv)
+    return (_field(spec, g1, 0.5 * g1 * x1, 0.3 * g1 * x2, 0.7 * g1 * x1 * x2),
+            _field(spec, g2, 0.0, 0.0, g2))
 
 
 # ---------------------------------------------------------------------------
@@ -275,23 +250,12 @@ def example2_charfn_oracle(freq: GridSpec) -> np.ndarray:
     cu_conj = np.conj(_mass_factor(u) * ei)
     cv = _mass_factor(v) * ei
     dv = _moment_factor(v) * ei
-    # term1 = [du]_i [cv]_j: (p + iq)(c + jd) = pc + i qc + j pd + k qd
-    out = np.empty((freq.n1, freq.n2, 4))
-    out[..., 0] = du.real[:, None] * cv.real[None, :]
-    out[..., 1] = du.imag[:, None] * cv.real[None, :]
-    out[..., 2] = du.real[:, None] * cv.imag[None, :]
-    out[..., 3] = du.imag[:, None] * cv.imag[None, :]
-    # term2 = j [cu_conj]_i [dv]_j: left-multiplying w0+iw1+jw2+kw3
-    # by j gives -w2 + i w3 + j w0 - k w1.
-    p, q = cu_conj.real[:, None], cu_conj.imag[:, None]
-    c, d = dv.real[None, :], dv.imag[None, :]
-    w0, w1, w2, w3 = p * c, q * c, p * d, q * d
-    out[..., 0] += -w2
-    out[..., 1] += w3
-    out[..., 2] += w0
-    out[..., 3] += -w1
-    out /= 2.0 * math.pi
-    return out
+    t0, t1, t2, t3 = _ij(du, cv)
+    # left-multiplying w0 + i w1 + j w2 + k w3 by j gives
+    # -w2 + i w3 + j w0 - k w1
+    w0, w1, w2, w3 = _ij(cu_conj, dv)
+    return (np.stack([t0 - w2, t1 + w3, t2 + w0, t3 - w1], axis=-1)
+            / (2.0 * math.pi))
 
 
 def example2_paper_formula(freq: GridSpec) -> np.ndarray:
@@ -308,15 +272,7 @@ def example2_paper_formula(freq: GridSpec) -> np.ndarray:
         out[nz] = (1.0 - np.exp(-1j * tn) + 1j * tn) / tn ** 2
         return out
 
-    fu = factor(u)
-    fv = factor(v)
-    out = np.empty((freq.n1, freq.n2, 4))
-    out[..., 0] = fu.real[:, None] * fv.real[None, :]
-    out[..., 1] = fu.imag[:, None] * fv.real[None, :]
-    out[..., 2] = fu.real[:, None] * fv.imag[None, :]
-    out[..., 3] = fu.imag[:, None] * fv.imag[None, :]
-    out /= 2.0 * math.pi
-    return out
+    return np.stack(_ij(factor(u), factor(v)), axis=-1) / (2.0 * math.pi)
 
 # ---------------------------------------------------------------------------
 # claim evaluation
@@ -541,11 +497,7 @@ def run_verify(quick: bool = False, tol: float | None = None) -> list[Claim]:
     f2d = np.exp(-x2 ** 2 / (2.0 * 1.5 ** 2)) / (1.5 * math.sqrt(2.0 * math.pi))
     phi1 = np.exp(1j * np.outer(pfreq.x1_nodes(), x1)) @ (w1 * f1d)
     phi2 = np.exp(1j * np.outer(pfreq.x2_nodes(), x2)) @ (w2 * f2d)
-    prod = np.empty((qn, qn, 4))
-    prod[..., 0] = phi1.real[:, None] * phi2.real[None, :]
-    prod[..., 1] = phi1.imag[:, None] * phi2.real[None, :]
-    prod[..., 2] = phi1.real[:, None] * phi2.imag[None, :]
-    prod[..., 3] = phi1.imag[:, None] * phi2.imag[None, :]
+    prod = np.stack(_ij(phi1, phi2), axis=-1)
     fac_err = float(np.max(np.abs(cf_s.spectrum.values - prod)))
     claims.append(Claim(
         "theorem5.factorization",

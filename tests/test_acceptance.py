@@ -16,8 +16,10 @@ from qlct2d.prob import charfn, charfn_properties, covariance, fd_moment
 from qlct2d.quaternion import Quaternion, conj
 from qlct2d.transform import (forward, inverse, parseval_ratio,
                               product_residuals)
-from qlct2d.verify import (example1_numerator, example2_charfn_oracle,
-                           example2_density, run_verify)
+from qlct2d.verify import (bump_field, correlated_pdf, example1_numerator,
+                           example2_charfn_oracle, example2_density,
+                           gaussian_pdf, gaussian_test_field, run_verify,
+                           uniform_pdf)
 
 FOUR = fourier_params()
 
@@ -39,6 +41,52 @@ def ledger():
 
 def _qdiff(p, q):
     return max(abs(a - b) for a, b in zip(p.components(), q.components()))
+
+
+# (claim_id, verdict, passed) of every ledger claim in ledger order; the
+# full and the quick profile both produce exactly this table
+LEDGER_VERDICTS = [
+    ("example1.E_X1_numerator", "reproduced", True),
+    ("example1.E_X1_quotient", "reproduced", True),
+    ("example1.normalization", "not-reproduced", True),
+    ("definition4.example1", "not-reproduced", True),
+    ("theorem1.parseval", "reproduced-with-different-constant", True),
+    ("definition2.roundtrip_fourier", "reproduced", True),
+    ("definition2.roundtrip_shear", "reproduced", True),
+    ("theorem2.convolution_structured",
+     "reproduced-with-different-constant", True),
+    ("theorem2.convolution_generic", "diagnostic-only", True),
+    ("theorem3.correlation_structured",
+     "reproduced-with-different-constant", True),
+    ("theorem3.correlation_generic", "diagnostic-only", True),
+    ("property1.normalization", "reproduced", True),
+    ("theorem8.bound", "reproduced", True),
+    ("property3.symmetry", "reproduced-with-different-constant", True),
+    ("theorem4.continuity", "reproduced", True),
+    ("theorem5.factorization", "reproduced", True),
+    ("property5.inversion", "reproduced", True),
+    ("property6.fd_moments", "reproduced", True),
+    ("example2.moment_integral", "not-reproduced", True),
+    ("example2.charfn", "reproduced", True),
+    ("example2.final_formula", "not-reproduced", True),
+    ("example2.kernel_constant", "reproduced-with-different-constant", True),
+    ("definition7.uniform", "reproduced", True),
+    ("definition7.commutator", "reproduced", True),
+    ("covariance_property4.shift", "reproduced", True),
+    ("covariance_property2.constant", "reproduced", True),
+    ("covariance_property1.nonnegativity", "not-reproduced", True),
+    ("covariance_property3.scaling", "not-reproduced", True),
+]
+
+
+def test_ledger_verdicts_full_profile(ledger):
+    got = [(c.claim_id, c.verdict, c.passed) for c in ledger.values()]
+    assert got == LEDGER_VERDICTS
+
+
+def test_ledger_verdicts_quick_profile():
+    got = [(c.claim_id, c.verdict, c.passed) for c in run_verify(quick=True)]
+    assert got == LEDGER_VERDICTS
 
 
 def test_criterion_01_example1_moments():
@@ -99,12 +147,8 @@ def test_criterion_03_quaternion_property_suite():
 def test_criterion_04_transform_roundtrip():
     t0 = time.perf_counter()
     n = 257
-    spec = GridSpec(-8.0, 8.0, -8.0, 8.0, n, n)
-    x1 = spec.x1_nodes()[:, None]
-    x2 = spec.x2_nodes()[None, :]
-    v = np.zeros((n, n, 4))
-    v[..., 0] = np.exp(-(x1 ** 2 + x2 ** 2) / 2.0)
-    f = SampledField(spec, v)
+    f = gaussian_test_field(n)
+    spec = f.spec
     dnm = float(np.sqrt(np.sum(f.values ** 2)))
 
     back_f = inverse(forward(f, FOUR, spec), spec)
@@ -125,19 +169,9 @@ def test_criterion_04_transform_roundtrip():
 
 def test_criterion_05_plancherel_constant(ledger):
     n = 257
-    spec = GridSpec(-8.0, 8.0, -8.0, 8.0, n, n)
-    x1 = spec.x1_nodes()[:, None]
-    x2 = spec.x2_nodes()[None, :]
-    v1 = np.zeros((n, n, 4))
-    v1[..., 0] = np.exp(-(x1 ** 2 + x2 ** 2) / 2.0)
-    g = np.exp(-0.8 * (x1 - 0.7) ** 2 - 1.3 * (x2 + 0.4) ** 2)
-    v2 = np.empty((n, n, 4))
-    v2[..., 0] = g
-    v2[..., 1] = 0.5 * g * np.cos(x1)
-    v2[..., 2] = 0.3 * g * np.sin(x2)
-    v2[..., 3] = 0.2 * g * x1 * x2 / (1.0 + x1 ** 2 + x2 ** 2)
-    r1 = parseval_ratio(SampledField(spec, v1), FOUR, spec)
-    r2 = parseval_ratio(SampledField(spec, v2), FOUR, spec)
+    f1, f2 = gaussian_test_field(n), bump_field(n)
+    r1 = parseval_ratio(f1, FOUR, f1.spec)
+    r2 = parseval_ratio(f2, FOUR, f2.spec)
     claim = ledger["theorem1.parseval"]
     ok = (abs(r1 - r2) <= 1e-3 and abs(r1 - 1.0) <= 1e-3
           and claim.verdict == "reproduced-with-different-constant"
@@ -175,14 +209,7 @@ def test_criterion_06_convolution_correlation(ledger):
 
 
 def test_criterion_07_charfn_properties():
-    n = 201
-    spec = GridSpec(-8.0, 8.0, -8.0, 8.0, n, n)
-    x1 = spec.x1_nodes()[:, None]
-    x2 = spec.x2_nodes()[None, :]
-    v = np.zeros((n, n, 4))
-    v[..., 0] = np.exp(-x1 ** 2 / 2.0 - x2 ** 2 / (2.0 * 1.5 ** 2)) \
-        / (2.0 * math.pi * 1.5)
-    f = SampledField(spec, v)
+    f = gaussian_pdf(201, s2=1.5)
     freq = GridSpec(-4.0, 4.0, -4.0, 4.0, 33, 33)
     cf = charfn(f, freq)
     props = charfn_properties(cf, f)
@@ -204,11 +231,7 @@ def test_criterion_07_charfn_properties():
 
 
 def test_criterion_08_fd_moments():
-    n = 201
-    spec = GridSpec(0.0, 1.0, 0.0, 1.0, n, n)
-    v = np.zeros((n, n, 4))
-    v[..., 0] = 1.0
-    u = SampledField(spec, v)
+    u = uniform_pdf(201)
     fd10 = fd_moment(u, 1, 0, 1e-3)
     fd11 = fd_moment(u, 1, 1, 1e-3)
     e10 = _qdiff(fd10, Quaternion(0.5))
@@ -239,10 +262,7 @@ def test_criterion_09_example2_oracle(ledger):
 
 def test_criterion_10_covariance():
     n = 201
-    spec = GridSpec(0.0, 1.0, 0.0, 1.0, n, n)
-    v = np.zeros((n, n, 4))
-    v[..., 0] = 1.0
-    mr_u = covariance(SampledField(spec, v))
+    mr_u = covariance(uniform_pdf(n))
     cov_norm = max(mr_u.cov_12.norm(), mr_u.cov_21.norm())
     var_err = _qdiff(mr_u.var_x1, Quaternion(1.0 / 12.0))
 
@@ -252,16 +272,8 @@ def test_criterion_10_covariance():
     comm = mul(mr_1.e_x2, mr_1.e_x1) - mul(mr_1.e_x1, mr_1.e_x2)
     comm_err = _qdiff(delta, comm)
 
-    def corr_density(x1_min):
-        s = GridSpec(x1_min, x1_min + 1.0, 0.0, 1.0, n, n)
-        t1 = np.linspace(0.0, 1.0, n)[:, None]
-        x2 = s.x2_nodes()[None, :]
-        w = np.zeros((n, n, 4))
-        w[..., 0] = (1.0 + t1 * x2) / 1.25
-        return SampledField(s, w)
-
-    shift_err = _qdiff(covariance(corr_density(0.0)).cov_12,
-                       covariance(corr_density(0.5)).cov_12)
+    shift_err = _qdiff(covariance(correlated_pdf(n)).cov_12,
+                       covariance(correlated_pdf(n, x1_min=0.5)).cov_12)
     ok = (cov_norm <= 1e-8 and var_err <= 1e-8 and comm_err <= 1e-8
           and shift_err <= 1e-6)
     _report(10, ok,

@@ -8,8 +8,8 @@ import pytest
 
 from qlct2d.cli import main
 from qlct2d.field import GridSpec, SampledField
-from qlct2d.gridio import read_field, read_spectrum, write_field
-from qlct2d.lct import LctParams, TransformParams
+from qlct2d.gridio import read_field, read_spectrum, write_field, write_spectrum
+from qlct2d.lct import LctParams, TransformParams, fourier_params
 from qlct2d.prob import charfn
 from qlct2d.transform import forward, inverse
 
@@ -192,6 +192,38 @@ def test_nonfinite_json_spectrum_exits_2(tmp_path, capsys):
     assert main(["invert", str(spec_path), "--grid=-2,2,-2,2,17,17",
                  "--out", str(tmp_path / "o.csv")]) == 2
     assert "non-finite value at node (1, 2)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, keys, argv", [
+    ("f.json", ("grid", "n2"), ["moments", "f.json"]),
+    ("s.json", ("params", "A2"), ["invert", "s.json", "--grid=-2,2,-2,2,17,17"]),
+    ("f.csv.json", ("x2_max",), ["moments", "f.csv"]),
+], ids=["json-grid-n2", "spectrum-params-A2", "csv-sidecar-x2_max"])
+def test_header_missing_key_exits_2(tmp_path, monkeypatch, capsys,
+                                    name, keys, argv):
+    monkeypatch.chdir(tmp_path)
+    f = _gaussian(17, 2.0)
+    write_field(f, "f.json")
+    write_field(f, "f.csv")
+    write_spectrum(forward(f, fourier_params(), f.spec), "s.json")
+    doc = json.loads((tmp_path / name).read_text())
+    entry = doc
+    for key in keys[:-1]:
+        entry = entry[key]
+    del entry[keys[-1]]
+    (tmp_path / name).write_text(json.dumps(doc))
+    assert main(argv + ["--out", "out"]) == 2
+    assert f"{name}: malformed header" in capsys.readouterr().err
+
+
+def test_sidecar_directory_exits_2(tmp_path, capsys):
+    src = tmp_path / "f.csv"
+    write_field(_gaussian(17, 2.0), str(src))
+    sidecar = tmp_path / "f.csv.json"
+    sidecar.unlink()
+    sidecar.mkdir()
+    assert main(["moments", str(src), "--out", str(tmp_path / "m.json")]) == 2
+    assert f"cannot read {sidecar}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

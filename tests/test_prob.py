@@ -1,8 +1,6 @@
 """Probability layer: density validation, characteristic functions,
 moments, covariance."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -12,36 +10,13 @@ from qlct2d.prob import (CharFn, Qpdf, charfn, charfn_properties, covariance,
                          expectation, fd_moment, invert_charfn, validate_qpdf)
 from qlct2d.quaternion import Quaternion, isclose, mul
 from qlct2d.transform import forward
-
-
-def _uniform(n: int = 65) -> SampledField:
-    spec = GridSpec(0.0, 1.0, 0.0, 1.0, n, n)
-    v = np.zeros((n, n, 4))
-    v[..., 0] = 1.0
-    return SampledField(spec, v)
-
-
-def _gaussian_pdf(n: int = 129, box: float = 8.0) -> SampledField:
-    spec = GridSpec(-box, box, -box, box, n, n)
-    x1 = spec.x1_nodes()[:, None]
-    x2 = spec.x2_nodes()[None, :]
-    v = np.zeros((n, n, 4))
-    v[..., 0] = np.exp(-(x1 ** 2 + x2 ** 2) / 2.0) / (2.0 * math.pi)
-    return SampledField(spec, v)
-
-
-def _example2(n: int = 129) -> SampledField:
-    spec = GridSpec(0.0, 1.0, 0.0, 1.0, n, n)
-    x1 = spec.x1_nodes()[:, None]
-    x2 = spec.x2_nodes()[None, :]
-    v = np.zeros((n, n, 4))
-    v[..., 0] = np.broadcast_to(x1, (n, n))
-    v[..., 2] = np.broadcast_to(x2, (n, n))
-    return SampledField(spec, v)
+from qlct2d.verify import (anticorrelated_pdf, correlated_pdf,
+                           example1_numerator, example2_density, gaussian_pdf,
+                           uniform_pdf)
 
 
 def test_validate_relaxed_accepts_real_pdf():
-    rep = validate_qpdf(_gaussian_pdf(), "relaxed")
+    rep = validate_qpdf(gaussian_pdf(129), "relaxed")
     assert rep.relaxed_ok
     assert rep.qpdf is not None
     assert isinstance(rep.qpdf, Qpdf)
@@ -82,11 +57,11 @@ def test_validate_reports_negativity():
 
 def test_validate_rejects_unknown_mode():
     with pytest.raises(ValueError, match="mode"):
-        validate_qpdf(_uniform(), "lenient")
+        validate_qpdf(uniform_pdf(65), "lenient")
 
 
 def test_expectation_named_and_tuple_weights():
-    u = _uniform()
+    u = uniform_pdf(65)
     assert expectation(u, "x1").q0 == pytest.approx(0.5, abs=1e-12)
     assert expectation(u, "x2").q0 == pytest.approx(0.5, abs=1e-12)
     assert expectation(u, "x1x2").q0 == pytest.approx(0.25, abs=1e-12)
@@ -99,7 +74,7 @@ def test_expectation_named_and_tuple_weights():
 
 
 def test_charfn_origin_equals_mass():
-    u = _uniform()
+    u = uniform_pdf(65)
     freq = GridSpec(-4.0, 4.0, -4.0, 4.0, 17, 17)
     cf = charfn(u, freq)
     assert cf.mode == "fourier"
@@ -108,7 +83,7 @@ def test_charfn_origin_equals_mass():
 
 def test_charfn_uniform_closed_form():
     # phi(u, v) = [(e^{iu}-1)/(iu)]_i [(e^{jv}-1)/(jv)]_j
-    u = _uniform(257)
+    u = uniform_pdf(257)
     freq = GridSpec(-3.0, 3.0, -3.0, 3.0, 13, 13)
     cf = charfn(u, freq)
     uu = freq.x1_nodes()
@@ -131,7 +106,7 @@ def test_charfn_uniform_closed_form():
 
 
 def test_charfn_properties_real_pdf():
-    g = _gaussian_pdf()
+    g = gaussian_pdf(129)
     freq = GridSpec(-4.0, 4.0, -4.0, 4.0, 33, 33)
     props = charfn_properties(charfn(g, freq), g)
     assert props["normalization_error"] <= 1e-6
@@ -144,7 +119,7 @@ def test_charfn_properties_real_pdf():
 def test_charfn_modulus_bound_quaternion_density():
     # four equal gaussian components: integral |f| = 2 and max |phi|
     # approaches it at the origin, exceeding the real-PDF bound of 1
-    g = _gaussian_pdf()
+    g = gaussian_pdf(129)
     v = np.repeat(g.values[..., :1], 4, axis=-1)
     q = SampledField(g.spec, v)
     freq = GridSpec(-2.0, 2.0, -2.0, 2.0, 9, 9)
@@ -155,7 +130,7 @@ def test_charfn_modulus_bound_quaternion_density():
 
 
 def test_charfn_factorizes_for_independent_marginals():
-    g = _gaussian_pdf(129)
+    g = gaussian_pdf(129)
     freq = GridSpec(-3.0, 3.0, -3.0, 3.0, 13, 13)
     cf = charfn(g, freq)
     # standard normal marginals: phi(u, v) = e^{-u^2/2} e^{-v^2/2},
@@ -168,7 +143,7 @@ def test_charfn_factorizes_for_independent_marginals():
 
 
 def test_charfn_lct_mode_is_forward_transform():
-    f = _example2()
+    f = example2_density(129)
     freq = GridSpec(-4.0, 4.0, -4.0, 4.0, 9, 9)
     cf = charfn(f, freq, mode="lct", params=fourier_params())
     s = forward(f, fourier_params(), freq)
@@ -180,7 +155,7 @@ def test_charfn_lct_mode_is_forward_transform():
 
 
 def test_charfn_mode_validation():
-    f = _uniform()
+    f = uniform_pdf(65)
     freq = GridSpec(-1.0, 1.0, -1.0, 1.0, 5, 5)
     s = charfn(f, freq).spectrum
     with pytest.raises(ValueError):
@@ -190,7 +165,7 @@ def test_charfn_mode_validation():
 
 
 def test_charfn_properties_need_origin_node():
-    f = _uniform()
+    f = uniform_pdf(65)
     freq = GridSpec(0.5, 1.5, 0.5, 1.5, 5, 5)
     cf = charfn(f, freq)
     with pytest.raises(ValueError, match="origin"):
@@ -198,7 +173,7 @@ def test_charfn_properties_need_origin_node():
 
 
 def test_inversion_roundtrip_gaussian():
-    g = _gaussian_pdf(129)
+    g = gaussian_pdf(129)
     freq = GridSpec(-8.0, 8.0, -8.0, 8.0, 129, 129)
     rec = invert_charfn(charfn(g, freq), g.spec)
     rel = np.sqrt(np.sum((rec.values - g.values) ** 2)) \
@@ -207,7 +182,7 @@ def test_inversion_roundtrip_gaussian():
 
 
 def test_inversion_roundtrip_lct_mode():
-    g = _gaussian_pdf(129)
+    g = gaussian_pdf(129)
     freq = GridSpec(-8.0, 8.0, -8.0, 8.0, 129, 129)
     cf = charfn(g, freq, mode="lct", params=fourier_params())
     rec = invert_charfn(cf, g.spec)
@@ -219,7 +194,7 @@ def test_inversion_roundtrip_lct_mode():
 def test_inversion_roundtrip_example2_interior():
     # bounded support causes Gibbs ringing at the box edge; compare on
     # the interior only
-    f = _example2(129)
+    f = example2_density(129)
     freq = GridSpec(-200.0, 200.0, -200.0, 200.0, 801, 801)
     rec = invert_charfn(charfn(f, freq), f.spec)
     sl = slice(20, -20)
@@ -229,7 +204,7 @@ def test_inversion_roundtrip_example2_interior():
 
 
 def test_fd_moment_uniform():
-    u = _uniform(201)
+    u = uniform_pdf(201)
     assert isclose(fd_moment(u, 0, 0), Quaternion(1.0),
                    rel_tol=1e-8, abs_tol=1e-8)
     assert isclose(fd_moment(u, 1, 0), Quaternion(0.5),
@@ -243,7 +218,7 @@ def test_fd_moment_uniform():
 
 
 def test_fd_moment_convergence_order():
-    u = _uniform(201)
+    u = uniform_pdf(201)
     exact = Quaternion(0.5)
     err = [max(abs(a - b) for a, b in zip(
         fd_moment(u, 1, 0, h).components(), exact.components()))
@@ -252,7 +227,7 @@ def test_fd_moment_convergence_order():
 
 
 def test_fd_moment_guards():
-    u = _uniform()
+    u = uniform_pdf(65)
     with pytest.raises(ValueError):
         fd_moment(u, 2, 1)
     with pytest.raises(ValueError):
@@ -262,7 +237,7 @@ def test_fd_moment_guards():
 
 
 def test_covariance_uniform():
-    mr = covariance(_uniform(201))
+    mr = covariance(uniform_pdf(201))
     assert mr.cov_12.norm() <= 1e-8
     assert mr.cov_21.norm() <= 1e-8
     assert isclose(mr.var_x1, Quaternion(1.0 / 12.0),
@@ -275,54 +250,29 @@ def test_covariance_uniform():
 
 
 def test_covariance_commutator_identity():
-    spec = GridSpec(0.0, 2.0, 0.0, 2.0, 129, 129)
-    x1 = spec.x1_nodes()[:, None]
-    x2 = spec.x2_nodes()[None, :]
-    v = np.empty((129, 129, 4))
-    v[..., 0] = 2.0 * x1 + x2
-    v[..., 1] = x1 ** 2 - x2 ** 2
-    v[..., 2] = x1 * x2
-    v[..., 3] = 3.0 * x1 - x2
-    mr = covariance(SampledField(spec, v))
+    mr = covariance(example1_numerator(129))
     delta = mr.cov_12 - mr.cov_21
     comm = mul(mr.e_x2, mr.e_x1) - mul(mr.e_x1, mr.e_x2)
     assert isclose(delta, comm, rel_tol=1e-10, abs_tol=1e-10)
 
 
 def test_covariance_can_be_negative():
-    spec = GridSpec(0.0, 1.0, 0.0, 1.0, 201, 201)
-    x1 = spec.x1_nodes()[:, None]
-    x2 = spec.x2_nodes()[None, :]
-    v = np.zeros((201, 201, 4))
-    v[..., 0] = 1.0 - (x1 - 0.5) * (x2 - 0.5)
-    mr = covariance(SampledField(spec, v))
+    mr = covariance(anticorrelated_pdf(201))
     assert mr.cov_12.q0 == pytest.approx(-1.0 / 144.0, abs=1e-8)
 
 
 def test_covariance_shift_invariance():
-    def density(x1_min):
-        spec = GridSpec(x1_min, x1_min + 1.0, 0.0, 1.0, 201, 201)
-        t1 = np.linspace(0.0, 1.0, 201)[:, None]
-        x2 = spec.x2_nodes()[None, :]
-        v = np.zeros((201, 201, 4))
-        v[..., 0] = (1.0 + t1 * x2) / 1.25
-        return SampledField(spec, v)
-
-    base = covariance(density(0.0))
-    shifted = covariance(density(0.5))
+    base = covariance(correlated_pdf(201))
+    shifted = covariance(correlated_pdf(201, x1_min=0.5))
     assert isclose(base.cov_12, shifted.cov_12, rel_tol=0.0, abs_tol=1e-6)
 
 
 def test_covariance_real_scaling_is_linear():
-    spec = GridSpec(0.0, 1.0, 0.0, 1.0, 201, 201)
-    x1 = spec.x1_nodes()[:, None]
-    x2 = spec.x2_nodes()[None, :]
-    v = np.zeros((201, 201, 4))
-    v[..., 0] = (1.0 + x1 * x2) / 1.25
-    base = covariance(SampledField(spec, v))
+    f = correlated_pdf(201)
+    base = covariance(f)
     # stretch x1 by a = 2: same samples on [0,2] x [0,1], density halved
     wide = GridSpec(0.0, 2.0, 0.0, 1.0, 201, 201)
-    scaled = covariance(SampledField(wide, v / 2.0))
+    scaled = covariance(SampledField(wide, f.values / 2.0))
     assert isclose(scaled.cov_12, 2.0 * base.cov_12,
                    rel_tol=1e-8, abs_tol=1e-8)
     assert not isclose(scaled.cov_12, 4.0 * base.cov_12,
@@ -330,7 +280,7 @@ def test_covariance_real_scaling_is_linear():
 
 
 def test_qpdf_support_property():
-    g = _gaussian_pdf()
+    g = gaussian_pdf(129)
     q = Qpdf(g)
     assert q.support == g.spec
     assert integrate(q.field).q0 == pytest.approx(1.0, abs=1e-6)

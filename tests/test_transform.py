@@ -5,62 +5,19 @@ import math
 import numpy as np
 import pytest
 
-from qlct2d.field import (GridSpec, SampledField, l2_norm, quad_weights_1d,
-                          sample)
+from qlct2d.field import GridSpec, SampledField, l2_norm, quad_weights_1d
 from qlct2d.lct import LctParams, TransformParams, fourier_params
 from qlct2d.transform import (Spectrum, correlate, forward, inverse,
-                              parseval_ratio, phase_strip, product_residuals,
-                              spectrum_l2)
+                              parseval_ratio, phase_strip, product_residuals)
+from qlct2d.verify import bump_field, gaussian_test_field, structured_pair
 
 FOUR = fourier_params()
-
-
-def _gaussian(n: int, box: float = 8.0) -> SampledField:
-    spec = GridSpec(-box, box, -box, box, n, n)
-    x1 = spec.x1_nodes()[:, None]
-    x2 = spec.x2_nodes()[None, :]
-    v = np.zeros((n, n, 4))
-    v[..., 0] = np.exp(-(x1 ** 2 + x2 ** 2) / 2.0)
-    return SampledField(spec, v)
-
-
-def _bump(n: int, box: float = 8.0) -> SampledField:
-    spec = GridSpec(-box, box, -box, box, n, n)
-    x1 = spec.x1_nodes()[:, None]
-    x2 = spec.x2_nodes()[None, :]
-    g = np.exp(-0.8 * (x1 - 0.7) ** 2 - 1.3 * (x2 + 0.4) ** 2)
-    v = np.empty((n, n, 4))
-    v[..., 0] = g
-    v[..., 1] = 0.5 * g * np.cos(x1)
-    v[..., 2] = 0.3 * g * np.sin(x2)
-    v[..., 3] = 0.2 * g * x1 * x2 / (1.0 + x1 ** 2 + x2 ** 2)
-    return SampledField(spec, v)
-
-
-def _structured_pair(n: int, box: float = 6.0):
-    spec = GridSpec(-box, box, -box, box, n, n)
-    x1 = spec.x1_nodes()[:, None]
-    x2 = spec.x2_nodes()[None, :]
-    aa = np.exp(-x1 ** 2)
-    ab = x1 * np.exp(-x1 ** 2)
-    bc = np.exp(-x2 ** 2)
-    bd = 0.5 * np.exp(-x2 ** 2)
-    fv = np.empty((n, n, 4))
-    fv[..., 0] = aa * bc
-    fv[..., 1] = ab * bc
-    fv[..., 2] = aa * bd
-    fv[..., 3] = ab * bd
-    gamma = np.exp(-2.0 * x1 ** 2)
-    gv = np.zeros((n, n, 4))
-    gv[..., 0] = gamma * np.exp(-x2 ** 2)
-    gv[..., 2] = gamma * x2 * np.exp(-x2 ** 2)
-    return SampledField(spec, fv), SampledField(spec, gv)
 
 
 def test_gaussian_closed_form():
     # the unit-variance gaussian is an eigenfunction up to the kernels'
     # constant phases: T(u,v) = e^{-i pi/4} e^{-(u^2+v^2)/2} e^{-j pi/4}
-    f = _gaussian(257)
+    f = gaussian_test_field(257)
     freq = GridSpec(-4.0, 4.0, -4.0, 4.0, 17, 17)
     s = forward(f, FOUR, freq)
     u1 = freq.x1_nodes()[:, None]
@@ -98,8 +55,8 @@ def test_sandwich_order_constant_k_field():
 
 
 def test_real_scalar_linearity():
-    f = _gaussian(65)
-    g = _bump(65)
+    f = gaussian_test_field(65)
+    g = bump_field(65)
     freq = GridSpec(-3.0, 3.0, -3.0, 3.0, 9, 9)
     sf = forward(f, FOUR, freq)
     sg = forward(g, FOUR, freq)
@@ -110,7 +67,7 @@ def test_real_scalar_linearity():
 
 
 def test_roundtrip_fourier():
-    f = _gaussian(129)
+    f = gaussian_test_field(129)
     fbox = GridSpec(-8.0, 8.0, -8.0, 8.0, 129, 129)
     back = inverse(forward(f, FOUR, fbox), f.spec)
     rel = np.sqrt(np.sum((back.values - f.values) ** 2)) \
@@ -121,7 +78,7 @@ def test_roundtrip_fourier():
 def test_roundtrip_shear():
     shear = LctParams(1.0, 0.5, 0.0, 1.0)
     sp = TransformParams(shear, shear)
-    f = _gaussian(129)
+    f = gaussian_test_field(129)
     fbox = GridSpec(-12.0, 12.0, -12.0, 12.0, 129, 129)
     back = inverse(forward(f, sp, fbox), f.spec)
     rel = np.sqrt(np.sum((back.values - f.values) ** 2)) \
@@ -131,8 +88,8 @@ def test_roundtrip_shear():
 
 def test_parseval_ratio_function_independent():
     fbox = GridSpec(-8.0, 8.0, -8.0, 8.0, 129, 129)
-    r1 = parseval_ratio(_gaussian(129), FOUR, fbox)
-    r2 = parseval_ratio(_bump(129), FOUR, fbox)
+    r1 = parseval_ratio(gaussian_test_field(129), FOUR, fbox)
+    r2 = parseval_ratio(bump_field(129), FOUR, fbox)
     assert abs(r1 - r2) <= 1e-3
     assert r1 == pytest.approx(1.0, abs=1e-3)
 
@@ -150,14 +107,8 @@ def test_spectrum_shape_validation():
         Spectrum(spec, np.zeros((3, 4, 4)))
 
 
-def test_spectrum_l2_matches_field_norm():
-    f = _gaussian(65)
-    s = Spectrum(f.spec, f.values, None)
-    assert spectrum_l2(s) == pytest.approx(l2_norm(f))
-
-
 def test_structured_pair_convolution_identity():
-    f, g = _structured_pair(65)
+    f, g = structured_pair(65)
     freq = GridSpec(-5.0, 5.0, -5.0, 5.0, 41, 41)
     lit, nrm = product_residuals(f, g, FOUR, freq)
     assert nrm <= 1e-2
@@ -165,7 +116,7 @@ def test_structured_pair_convolution_identity():
 
 
 def test_structured_pair_correlation_identity():
-    f, g = _structured_pair(65)
+    f, g = structured_pair(65)
     freq = GridSpec(-5.0, 5.0, -5.0, 5.0, 41, 41)
     lit, nrm = product_residuals(f, g, FOUR, freq, correlation=True)
     assert nrm <= 1e-2
@@ -175,8 +126,8 @@ def test_structured_pair_correlation_identity():
 def test_generic_pair_residuals_are_finite():
     shear = LctParams(1.0, 0.5, 0.0, 1.0)
     sp = TransformParams(shear, shear)
-    f = _bump(65, box=6.0)
-    g = _gaussian(65, box=6.0)
+    f = bump_field(65, box=6.0)
+    g = gaussian_test_field(65, box=6.0)
     freq = GridSpec(-5.0, 5.0, -5.0, 5.0, 21, 21)
     for correlation in (False, True):
         lit, nrm = product_residuals(f, g, sp, freq, correlation=correlation)
@@ -184,7 +135,7 @@ def test_generic_pair_residuals_are_finite():
 
 
 def test_autocorrelation_peaks_at_origin():
-    f = _bump(65, box=6.0)
+    f = bump_field(65, box=6.0)
     c = correlate(f, f)
     mods = np.sqrt(np.sum(c.values ** 2, axis=-1))
     r0 = c0 = 32  # origin node
