@@ -15,8 +15,8 @@ import json
 import sys
 
 from .field import GridSpec
-from .gridio import (ParseError, read_field, read_spectrum, write_field,
-                     write_spectrum)
+from .gridio import (ParseError, _from_header, _load_json, read_field,
+                     read_spectrum, write_field, write_spectrum)
 from .lct import LctParams, TransformParams, fourier_params
 from .prob import charfn, covariance
 from .transform import forward, inverse
@@ -44,32 +44,33 @@ def _parse_grid(text: str) -> GridSpec:
                     int(parts[4]), int(parts[5]))
 
 
+def _matrix(path: str, key: str, entry) -> LctParams:
+    """One matrix of a --params file.  A missing or mistyped entry is a
+    ParseError; a matrix that breaks an LctParams invariant stays a
+    ValueError, named after its key."""
+    where = f"{path}: {key}"
+    try:
+        return _from_header(where, LctParams.from_dict, entry)
+    except ParseError:
+        raise
+    except ValueError as e:
+        raise ValueError(
+            f"{where}: {str(e).replace('det(A)', f'det({key})')}") from e
+
+
 def _load_params(path: str) -> TransformParams:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as e:
-        raise ParseError(f"cannot read {path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise ParseError(f"{path}: invalid JSON ({e})") from e
-    if "A1" in doc or "A2" in doc:
-        axes = []
-        for key in ("A1", "A2"):
-            if key not in doc:
-                raise ValueError(f"{path}: missing matrix {key}")
-            try:
-                axes.append(LctParams.from_dict(doc[key]))
-            except (KeyError, ValueError) as e:
-                raise ValueError(
-                    f"{path}: {key}: {str(e).replace('det(A)', f'det({key})')}"
-                ) from e
-        return TransformParams(axes[0], axes[1])
-    # a single matrix applies to both axes
-    try:
-        p = LctParams.from_dict(doc)
-    except (KeyError, ValueError) as e:
-        raise ValueError(f"{path}: {e}") from e
-    return TransformParams(p, p)
+    doc = _load_json(path)
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: expected a JSON object")
+    if "A1" not in doc and "A2" not in doc:
+        # a single matrix applies to both axes
+        p = _matrix(path, "A", doc)
+        return TransformParams(p, p)
+    for key in ("A1", "A2"):
+        if key not in doc:
+            raise ParseError(f"{path}: missing matrix {key}")
+    return TransformParams(_matrix(path, "A1", doc["A1"]),
+                           _matrix(path, "A2", doc["A2"]))
 
 
 def _cmd_transform(args) -> int:

@@ -24,7 +24,6 @@ __all__ = [
     "l2_norm",
     "inner_product",
     "convolve",
-    "delta_surrogate",
     "quad_weights_1d",
     "qmul_values",
     "qconj_values",
@@ -267,21 +266,3 @@ def convolve(f: SampledField, g: SampledField) -> SampledField:
     # full discrete convolution index t = r' + s; output index r maps to
     # t = r - o per axis (coordinates: x - y = (r - r')h, g node s = r-r'-o).
     return SampledField(spec, _shifted_crop(full, -o1, -o2, spec.n1, spec.n2))
-
-
-def delta_surrogate(spec: GridSpec, node: tuple[int, int] | None = None) -> SampledField:
-    """Single-node surrogate of a Dirac delta with unit integral mass.
-
-    The node carries value 1/(h1*h2); by default the node closest to the
-    coordinate origin is used.
-    """
-    if node is None:
-        r = int(round(-spec.x1_min / spec.h1))
-        c = int(round(-spec.x2_min / spec.h2))
-        r = min(max(r, 0), spec.n1 - 1)
-        c = min(max(c, 0), spec.n2 - 1)
-    else:
-        r, c = node
-    v = np.zeros((spec.n1, spec.n2, 4))
-    v[r, c, 0] = 1.0 / (spec.h1 * spec.h2)
-    return SampledField(spec, v)

@@ -90,10 +90,23 @@ def _infer_spec_from_columns(x1: np.ndarray, x2: np.ndarray) -> GridSpec:
                     float(x2[0]), float(x2[n2 - 1]), n1, n2)
 
 
+def _load_json(path: str):
+    """The parsed contents of a JSON file; an unreadable file or invalid
+    JSON is a ParseError naming the file."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as e:
+        raise ParseError(f"cannot read {path}: {e}") from e
+    except json.JSONDecodeError as e:
+        raise ParseError(f"{path}: invalid JSON ({e})") from e
+
+
 def _from_header(path: str, parse, entry):
-    """parse(entry) for a GridSpec or TransformParams header entry; a
-    missing or mistyped key is a ParseError naming the file, while an
-    invariant violation stays a ValueError."""
+    """parse(entry) for a GridSpec, TransformParams or LctParams entry
+    of a header or parameter file; a missing or mistyped key is a
+    ParseError naming the file, while an invariant violation stays a
+    ValueError."""
     try:
         return parse(entry)
     except (KeyError, TypeError) as e:
@@ -129,13 +142,7 @@ def _read_csv(path: str) -> tuple[GridSpec, np.ndarray, TransformParams | None]:
     params = None
     side = _sidecar_path(path)
     if os.path.exists(side):
-        try:
-            with open(side) as fh:
-                header = json.load(fh)
-        except OSError as e:
-            raise ParseError(f"cannot read {side}: {e}") from e
-        except json.JSONDecodeError as e:
-            raise ParseError(f"{side}: invalid JSON ({e})") from e
+        header = _load_json(side)
         spec = _from_header(side, GridSpec.from_dict, header)
         if "params" in header:
             params = _from_header(side, TransformParams.from_dict,
@@ -160,19 +167,13 @@ def _write_json(path: str, spec: GridSpec, values: np.ndarray,
 
 
 def _read_json(path: str) -> tuple[GridSpec, np.ndarray, TransformParams | None]:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as e:
-        raise ParseError(f"cannot read {path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise ParseError(f"{path}: invalid JSON ({e})") from e
+    doc = _load_json(path)
     if not isinstance(doc, dict) or "grid" not in doc or "values" not in doc:
         raise ParseError(f"{path}: expected an object with grid and values")
     spec = _from_header(path, GridSpec.from_dict, doc["grid"])
     try:
         values = _grid_values(spec, doc["values"])
-    except ValueError as e:
+    except (TypeError, ValueError) as e:
         raise ParseError(f"{path}: {e}") from e
     params = None
     if "params" in doc:

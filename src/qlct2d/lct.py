@@ -1,11 +1,13 @@
 """Linear canonical transform kernel parameterization and evaluation.
 
-Each axis carries one unimodular 2x2 matrix (a, b, c, d).  The axis-1
-kernel lives in span{1, i}, the axis-2 kernel in span{1, j}:
+Each axis carries one unimodular 2x2 matrix (a, b, c, d) with b != 0.
+The axis-1 kernel lives in span{1, i}, the axis-2 kernel in span{1, j}:
 
-    b != 0:  (2*pi*|b|)^{-1/2} * exp(unit * (a/(2b) x^2 - x u / b
-                                             + d/(2b) u^2 - pi/4))
-    b == 0:  sqrt(d) * exp(unit * (c d / 2) u^2)            (requires d > 0)
+    (2*pi*|b|)^{-1/2} * exp(unit * (a/(2b) x^2 - x u / b + d/(2b) u^2 - pi/4))
+
+A matrix with b = 0 is rejected: there the transform is the chirp-scaled
+dilation sqrt(d) exp(unit * (c d / 2) u^2) f(d u), which has no integral
+kernel and so no place in the quadrature sandwich.
 """
 
 from __future__ import annotations
@@ -43,9 +45,9 @@ class LctParams:
         det = self.a * self.d - self.b * self.c
         if abs(det - 1.0) > _DET_TOL:
             raise ValueError(f"det(A) != 1 (got {det!r})")
-        if self.b == 0.0 and self.d <= 0.0:
-            raise ValueError("b = 0 requires d > 0 (real kernel amplitude "
-                             "sqrt(d))")
+        if self.b == 0.0:
+            raise ValueError("b = 0 has no integral kernel (the transform "
+                             "is a chirp-scaled dilation)")
 
     def to_dict(self) -> dict:
         return {"a": self.a, "b": self.b, "c": self.c, "d": self.d}
@@ -91,16 +93,11 @@ def kernel_matrix(p: LctParams, x: np.ndarray, u: np.ndarray,
     """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
-    if p.b != 0.0:
-        amp = 1.0 / math.sqrt(2.0 * math.pi * abs(p.b))
-        phase = ((p.a / (2.0 * p.b)) * x[:, None] ** 2
-                 - np.outer(x, u) / p.b
-                 + (p.d / (2.0 * p.b)) * u[None, :] ** 2
-                 - math.pi / 4.0)
-    else:
-        amp = math.sqrt(p.d)
-        phase = np.broadcast_to((p.c * p.d / 2.0) * u[None, :] ** 2,
-                                (x.size, u.size))
+    amp = 1.0 / math.sqrt(2.0 * math.pi * abs(p.b))
+    phase = ((p.a / (2.0 * p.b)) * x[:, None] ** 2
+             - np.outer(x, u) / p.b
+             + (p.d / (2.0 * p.b)) * u[None, :] ** 2
+             - math.pi / 4.0)
     if conjugate:
         phase = -phase
     return amp * np.exp(1j * phase)

@@ -25,7 +25,6 @@ from .quaternion import I, J, Quaternion, inverse, mul
 from .transform import Spectrum, forward, inverse as lct_inverse, _sandwich
 
 __all__ = [
-    "Qpdf",
     "QpdfReport",
     "CharFn",
     "MomentReport",
@@ -39,17 +38,8 @@ __all__ = [
 ]
 
 _COMPONENT_NAMES = ("a", "b", "c", "d")
-
-
-@dataclass(frozen=True)
-class Qpdf:
-    """A sampled quaternion density; support is the sampling box."""
-
-    field: SampledField
-
-    @property
-    def support(self) -> GridSpec:
-        return self.field.spec
+_MASS_TOL = 1e-6
+_NEG_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -58,25 +48,21 @@ class QpdfReport:
 
     Both the strict verdict (every component a real PDF: nonnegative
     and unit mass) and the relaxed verdict (components nonnegative,
-    total integral recorded but not forced) are always stated.  qpdf
-    is set when the requested mode accepted the input.
+    total integral recorded but not forced) are always stated.
+    violations lists every strict violation, negativity first.
     """
 
     strict_ok: bool
     relaxed_ok: bool
-    mode: str
     component_integrals: tuple[float, float, float, float]
     component_minima: tuple[float, float, float, float]
     total_integral: Quaternion
     violations: tuple[str, ...]
-    qpdf: Qpdf | None
 
     def to_dict(self) -> dict:
         return {
             "strict_ok": self.strict_ok,
             "relaxed_ok": self.relaxed_ok,
-            "mode": self.mode,
-            "accepted": self.qpdf is not None,
             "component_integrals": list(self.component_integrals),
             "component_minima": list(self.component_minima),
             "total_integral": list(self.total_integral.components()),
@@ -106,28 +92,15 @@ class CharFn:
         return self.spectrum.at(r, c)
 
 
-def _field_of(f) -> SampledField:
-    if isinstance(f, Qpdf):
-        return f.field
-    if isinstance(f, SampledField):
-        return f
-    raise TypeError(f"expected Qpdf or SampledField, got {type(f).__name__}")
-
-
-def validate_qpdf(f: SampledField, mode: str = "relaxed",
-                  mass_tol: float = 1e-6,
-                  neg_tol: float = 1e-12) -> QpdfReport:
+def validate_qpdf(f: SampledField) -> QpdfReport:
     """Check the density axioms and report both verdicts.
 
-    Strict mode demands each of the four components be a real PDF:
-    everywhere >= -neg_tol and integrating to 1 within mass_tol.
-    Relaxed mode demands only nonnegativity; the total quaternion
+    The strict verdict demands each of the four components be a real
+    PDF: everywhere >= -_NEG_TOL and integrating to 1 within _MASS_TOL.
+    The relaxed verdict demands only nonnegativity; the total quaternion
     integral is recorded, not constrained.  Violations are data, not
     exceptions.
     """
-    if mode not in ("strict", "relaxed"):
-        raise ValueError(f"unknown mode {mode!r}")
-    f = _field_of(f)
     w = _weights_2d(f.spec)
     integrals = tuple(float(np.sum(w * f.values[..., l])) for l in range(4))
     minima = tuple(float(np.min(f.values[..., l])) for l in range(4))
@@ -135,20 +108,16 @@ def validate_qpdf(f: SampledField, mode: str = "relaxed",
 
     violations = []
     for name, lo in zip(_COMPONENT_NAMES, minima):
-        if lo < -neg_tol:
+        if lo < -_NEG_TOL:
             violations.append(f"component {name} is negative (min {lo!r})")
     relaxed_ok = not violations
-    strict_violations = list(violations)
     for name, mass in zip(_COMPONENT_NAMES, integrals):
-        if abs(mass - 1.0) > mass_tol:
-            strict_violations.append(
+        if abs(mass - 1.0) > _MASS_TOL:
+            violations.append(
                 f"component {name} integrates to {mass!r}, not 1")
-    strict_ok = not strict_violations
-
-    ok = strict_ok if mode == "strict" else relaxed_ok
-    listed = strict_violations if mode == "strict" else violations
-    return QpdfReport(strict_ok, relaxed_ok, mode, integrals, minima, total,
-                      tuple(listed), Qpdf(f) if ok else None)
+    strict_ok = not violations
+    return QpdfReport(strict_ok, relaxed_ok, integrals, minima, total,
+                      tuple(violations))
 
 
 def _weight_powers(weight) -> tuple[int, int]:
@@ -164,14 +133,13 @@ def _weight_powers(weight) -> tuple[int, int]:
     return int(m), int(n)
 
 
-def expectation(f, weight) -> Quaternion:
+def expectation(f: SampledField, weight) -> Quaternion:
     """Weighted moment integral x1^m x2^n against the density.
 
     weight is one of the names "x1", "x2", "x1x2", "x1^2", "x2^2" or a
     pair (m, n).  The weight is real and commutes; the result is the
     componentwise quadrature of w(x) f(x).
     """
-    f = _field_of(f)
     m, n = _weight_powers(weight)
     x1 = f.spec.x1_nodes() ** m
     x2 = f.spec.x2_nodes() ** n
@@ -180,7 +148,7 @@ def expectation(f, weight) -> Quaternion:
     return Quaternion(*comps)
 
 
-def charfn(f, freq: GridSpec, mode: str = "fourier",
+def charfn(f: SampledField, freq: GridSpec, mode: str = "fourier",
            params: TransformParams | None = None) -> CharFn:
     """Characteristic function on a frequency grid.
 
@@ -188,7 +156,6 @@ def charfn(f, freq: GridSpec, mode: str = "fourier",
     (right) with positive exponents and no amplitude factor.  Lct mode
     uses the canonical-transform kernels and requires params.
     """
-    f = _field_of(f)
     if mode == "lct":
         if params is None:
             raise ValueError("lct mode requires transform parameters")
@@ -222,7 +189,7 @@ def _origin_index(spec: GridSpec) -> tuple[int, int]:
     return r, c
 
 
-def charfn_properties(cf: CharFn, f) -> dict:
+def charfn_properties(cf: CharFn, f: SampledField) -> dict:
     """Empirical property report for a characteristic function.
 
     Checks normalization phi(0,0) against the density integral, the
@@ -231,7 +198,6 @@ def charfn_properties(cf: CharFn, f) -> dict:
     symmetric frequency grid, and a small-shift continuity bound with
     constant C = integral |x1| |f| dx.
     """
-    f = _field_of(f)
     spec = cf.spectrum.spec
     vals = cf.spectrum.values
     report: dict = {"mode": cf.mode}
@@ -275,7 +241,7 @@ def invert_charfn(cf: CharFn, space: GridSpec) -> SampledField:
 
     Fourier mode integrates e^{-iux1} phi e^{-jvx2} over the frequency
     box with normalization 1/(2*pi)^2; lct mode delegates to the
-    canonical-transform inverse (b != 0 axes only).
+    canonical-transform inverse.
     """
     if cf.mode == "lct":
         return lct_inverse(cf.spectrum, space)
@@ -290,7 +256,7 @@ def invert_charfn(cf: CharFn, space: GridSpec) -> SampledField:
     return SampledField(space, scale * _sandwich(cf.spectrum.values, kl, kr))
 
 
-def fd_moment(f, m: int, n: int, h: float = 1e-3) -> Quaternion:
+def fd_moment(f: SampledField, m: int, n: int, h: float = 1e-3) -> Quaternion:
     """Moment E[X1^m X2^n] from finite differences of the fourier-mode
     characteristic function at the origin.
 
@@ -303,7 +269,6 @@ def fd_moment(f, m: int, n: int, h: float = 1e-3) -> Quaternion:
         raise ValueError("fd_moment supports orders with m + n <= 2")
     if h < 1e-5:
         raise ValueError("h below 1e-5 loses the moment to cancellation")
-    f = _field_of(f)
     stencil = GridSpec(-h, h, -h, h, 3, 3)
     phi = charfn(f, stencil, mode="fourier").spectrum.values
 
@@ -359,9 +324,8 @@ class MomentReport:
         return d
 
 
-def covariance(f) -> MomentReport:
+def covariance(f: SampledField) -> MomentReport:
     """Moments, variances and both covariance orders of the density."""
-    f = _field_of(f)
     e1 = expectation(f, "x1")
     e2 = expectation(f, "x2")
     e12 = expectation(f, "x1x2")

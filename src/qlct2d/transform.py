@@ -82,13 +82,10 @@ def inverse(s: Spectrum, space: GridSpec) -> SampledField:
 
     Uses the unit-conjugated forward kernels exp(-i phase), exp(-j phase)
     with the matrices the spectrum was produced with, which is the exact
-    left/right inverse of the b != 0 kernels.  Dirac-kernel (b = 0) axes
-    are not supported.
+    left/right inverse of the kernels.
     """
     if s.params is None:
         raise ValueError("spectrum carries no transform parameters")
-    if s.params.A1.b == 0.0 or s.params.A2.b == 0.0:
-        raise ValueError("inverse transform unsupported for a b = 0 axis")
     u1, u2 = s.spec.x1_nodes(), s.spec.x2_nodes()
     x1, x2 = space.x1_nodes(), space.x2_nodes()
     wu1 = quad_weights_1d(s.spec.n1, s.spec.h1)
@@ -131,9 +128,9 @@ def correlate(f: SampledField, g: SampledField) -> SampledField:
 def phase_strip(s: Spectrum) -> Spectrum:
     """Remove the kernels' constant -pi/4 phases: e^{i pi/4} T e^{j pi/4}.
 
-    For b != 0 axes this maps the transform to its constant-phase-free
-    normalization, under which the separable convolution and correlation
-    identities hold with a plain 2*pi scale.
+    This maps the transform to its constant-phase-free normalization,
+    under which the separable convolution and correlation identities
+    hold with a plain 2*pi scale.
     """
     ei = np.array([math.cos(math.pi / 4), math.sin(math.pi / 4), 0.0, 0.0])
     ej = np.array([math.cos(math.pi / 4), 0.0, math.sin(math.pi / 4), 0.0])

@@ -335,7 +335,7 @@ def run_verify(quick: bool = False, tol: float | None = None) -> list[Claim]:
         "(20, 0, 4, 8); the quotient claim above uses the stated "
         "denominator verbatim"))
 
-    rep1 = validate_qpdf(f1, "strict")
+    rep1 = validate_qpdf(f1)
     claims.append(Claim(
         "definition4.example1",
         "every density component is a real PDF (nonnegative, unit mass)",

@@ -244,4 +244,47 @@ def test_b_zero_nonpositive_d_params_exit_3(tmp_path, capsys):
     bad = _write_params(tmp_path / "params.json", a=-2.0, b=0.0, c=3.0, d=-0.5)
     assert main(["transform", src, "--params", bad,
                  "--out", str(tmp_path / "o.json")]) == 3
-    assert "d > 0" in capsys.readouterr().err
+    assert "b = 0" in capsys.readouterr().err
+
+
+def test_b_zero_positive_d_params_exit_3(tmp_path, capsys):
+    # b = 0 has no integral kernel; the transform must not write a
+    # spectrum for it
+    src = str(tmp_path / "f.csv")
+    out = tmp_path / "o.json"
+    write_field(_gaussian(17, 2.0), src)
+    bad = _write_params(tmp_path / "params.json", a=1.0, b=0.0, c=0.5, d=1.0)
+    assert main(["transform", src, "--params", bad, "--out", str(out)]) == 3
+    assert "b = 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_FOUR = {"a": 0.0, "b": 1.0, "c": -1.0, "d": 0.0}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"A1": {"a": 0.0, "b": 1.0, "c": -1.0}, "A2": _FOUR}, "KeyError: 'd'"),
+    ({"A1": _FOUR}, "missing matrix A2"),
+    ({"A1": [0.0, 1.0, -1.0, 0.0], "A2": _FOUR}, "TypeError"),
+    ([_FOUR, _FOUR], "expected a JSON object"),
+], ids=["A1-without-d", "no-A2", "A1-list", "top-level-list"])
+def test_params_missing_or_mistyped_entry_exits_2(tmp_path, capsys,
+                                                  doc, message):
+    src = str(tmp_path / "f.csv")
+    write_field(_gaussian(17, 2.0), src)
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(doc))
+    assert main(["transform", src, "--params", str(params),
+                 "--out", str(tmp_path / "o.json")]) == 2
+    err = capsys.readouterr().err
+    assert f"{params}:" in err and message in err
+
+
+def test_json_values_object_exits_2(tmp_path, capsys):
+    src = tmp_path / "f.json"
+    write_field(_gaussian(17, 2.0), str(src))
+    doc = json.loads(src.read_text())
+    doc["values"] = {"a": 1}
+    src.write_text(json.dumps(doc))
+    assert main(["moments", str(src), "--out", str(tmp_path / "m.json")]) == 2
+    assert f"{src}:" in capsys.readouterr().err

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from qlct2d.field import (GridSpec, SampledField, convolve, delta_surrogate,
-                          inner_product, integrate, l2_norm, qmul_values,
-                          quad_weights_1d, sample)
+from qlct2d.field import (GridSpec, SampledField, convolve, inner_product,
+                          integrate, l2_norm, qmul_values, quad_weights_1d,
+                          sample)
 from qlct2d.quaternion import Quaternion, isclose
 
 
@@ -156,8 +156,10 @@ def test_convolve_with_delta_is_identity():
     v[..., 2] = 0.3
     v[..., 3] = np.sin(x1 + x2)
     g = SampledField(spec, v)
-    d = delta_surrogate(spec)
-    out = convolve(d, g)
+    # unit mass on the origin node (20, 20)
+    d = np.zeros((41, 41, 4))
+    d[20, 20, 0] = 1.0 / (spec.h1 * spec.h2)
+    out = convolve(SampledField(spec, d), g)
     assert np.max(np.abs(out.values - g.values)) <= 1e-12
 
 
@@ -192,10 +194,3 @@ def test_convolve_requires_origin_aligned_grid():
     with pytest.raises(ValueError):
         convolve(f, f)
 
-
-def test_delta_surrogate_mass():
-    spec = GridSpec(-2.0, 2.0, -2.0, 2.0, 33, 33)
-    d = delta_surrogate(spec)
-    assert integrate(d).q0 == pytest.approx(1.0, abs=1e-12)
-    d2 = delta_surrogate(spec, node=(3, 5))
-    assert d2.values[3, 5, 0] > 0.0

@@ -59,20 +59,13 @@ def test_kernel_modulus_is_constant():
             assert norm(kernel_i(p, x, u)) == pytest.approx(amp)
 
 
-def test_b_zero_kernel():
-    p = LctParams(2.0, 0.0, 3.0, 0.5)
-    k = kernel_i(p, 1.7, 0.4)
-    amp = math.sqrt(0.5)
-    phase = (3.0 * 0.5 / 2.0) * 0.4 ** 2
-    assert isclose(k, amp * exp_i(phase))
-    # x does not enter the b = 0 kernel
-    assert isclose(kernel_i(p, -4.0, 0.4), k)
-
-
-def test_b_zero_kernel_needs_positive_d():
-    # rejected when the matrix is built, before any kernel is evaluated
-    with pytest.raises(ValueError, match="d > 0"):
-        LctParams(-2.0, 0.0, 3.0, -0.5)
+@pytest.mark.parametrize("a, c, d", [
+    (2.0, 3.0, 0.5), (-2.0, 3.0, -0.5), (1.0, 0.5, 1.0), (1.0, 0.0, 1.0)])
+def test_b_zero_matrix_is_rejected(a, c, d):
+    # b = 0 has no integral kernel, whatever the sign of d; the matrix
+    # is rejected when it is built, before any kernel is evaluated
+    with pytest.raises(ValueError, match="b = 0"):
+        LctParams(a, 0.0, c, d)
 
 
 def test_inverse_params_matrix():
@@ -113,11 +106,3 @@ def test_fourier_params_entries():
     for p in (t.A1, t.A2):
         assert (p.a, p.b, p.c, p.d) == (0.0, 1.0, -1.0, 0.0)
 
-
-def test_b_zero_conjugate_matrix():
-    p = LctParams(2.0, 0.0, 3.0, 0.5)
-    u = np.array([0.0, 0.4, 1.0])
-    m = kernel_matrix(p, np.array([0.0]), u)
-    mc = kernel_matrix(p, np.array([0.0]), u, conjugate=True)
-    assert np.allclose(mc, np.conj(m))
-    assert np.allclose(np.abs(m), math.sqrt(0.5))

@@ -4,9 +4,9 @@ moments, covariance."""
 import numpy as np
 import pytest
 
-from qlct2d.field import GridSpec, SampledField, integrate
+from qlct2d.field import GridSpec, SampledField
 from qlct2d.lct import fourier_params
-from qlct2d.prob import (CharFn, Qpdf, charfn, charfn_properties, covariance,
+from qlct2d.prob import (CharFn, charfn, charfn_properties, covariance,
                          expectation, fd_moment, invert_charfn, validate_qpdf)
 from qlct2d.quaternion import Quaternion, isclose, mul
 from qlct2d.transform import forward
@@ -16,13 +16,13 @@ from qlct2d.verify import (anticorrelated_pdf, correlated_pdf,
 
 
 def test_validate_relaxed_accepts_real_pdf():
-    rep = validate_qpdf(gaussian_pdf(129), "relaxed")
+    rep = validate_qpdf(gaussian_pdf(129))
     assert rep.relaxed_ok
-    assert rep.qpdf is not None
-    assert isinstance(rep.qpdf, Qpdf)
     assert rep.total_integral.q0 == pytest.approx(1.0, abs=1e-6)
-    # strict mode also runs: the three zero components have no mass
+    # the strict verdict fails: the three zero components have no mass
     assert not rep.strict_ok
+    assert len(rep.violations) == 3
+    assert all("integrates to" in s for s in rep.violations)
 
 
 def test_validate_strict_requires_unit_mass_components():
@@ -30,14 +30,14 @@ def test_validate_strict_requires_unit_mass_components():
     spec = GridSpec(0.0, 2.0, 0.0, 2.0, 33, 33)
     v = np.zeros((33, 33, 4))
     v[..., 0] = 0.25
-    rep = validate_qpdf(SampledField(spec, v), "strict")
+    rep = validate_qpdf(SampledField(spec, v))
     assert rep.relaxed_ok and not rep.strict_ok
-    assert rep.qpdf is None
     assert any("integrates to" in s for s in rep.violations)
     # with all four components unit-mass it passes strict
     v4 = np.full((33, 33, 4), 0.25)
-    rep4 = validate_qpdf(SampledField(spec, v4), "strict")
-    assert rep4.strict_ok and rep4.qpdf is not None
+    rep4 = validate_qpdf(SampledField(spec, v4))
+    assert rep4.strict_ok and rep4.relaxed_ok
+    assert rep4.violations == ()
 
 
 def test_validate_reports_negativity():
@@ -47,17 +47,14 @@ def test_validate_reports_negativity():
     v = np.zeros((33, 33, 4))
     v[..., 0] = 1.0
     v[..., 1] = np.broadcast_to(x1 ** 2 - x2 ** 2, (33, 33))
-    rep = validate_qpdf(SampledField(spec, v), "relaxed")
-    assert not rep.relaxed_ok
-    assert rep.qpdf is None
-    assert any("negative" in s for s in rep.violations)
+    rep = validate_qpdf(SampledField(spec, v))
+    assert not rep.relaxed_ok and not rep.strict_ok
+    # every strict violation is listed, negativity first
+    assert "component b is negative" in rep.violations[0]
+    assert all("integrates to" in s for s in rep.violations[1:])
     d = rep.to_dict()
-    assert d["accepted"] is False and d["violations"]
-
-
-def test_validate_rejects_unknown_mode():
-    with pytest.raises(ValueError, match="mode"):
-        validate_qpdf(uniform_pdf(65), "lenient")
+    assert d["relaxed_ok"] is False and d["strict_ok"] is False
+    assert d["violations"] == list(rep.violations)
 
 
 def test_expectation_named_and_tuple_weights():
@@ -278,11 +275,3 @@ def test_covariance_real_scaling_is_linear():
     assert not isclose(scaled.cov_12, 4.0 * base.cov_12,
                        rel_tol=1e-3, abs_tol=1e-3)
 
-
-def test_qpdf_support_property():
-    g = gaussian_pdf(129)
-    q = Qpdf(g)
-    assert q.support == g.spec
-    assert integrate(q.field).q0 == pytest.approx(1.0, abs=1e-6)
-    # probability functions accept Qpdf wrappers directly
-    assert expectation(q, "x1").q0 == pytest.approx(0.0, abs=1e-9)
