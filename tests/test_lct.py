@@ -60,12 +60,19 @@ def test_kernel_modulus_is_constant():
 
 
 @pytest.mark.parametrize("a, c, d", [
-    (2.0, 3.0, 0.5), (-2.0, 3.0, -0.5), (1.0, 0.5, 1.0), (1.0, 0.0, 1.0)])
+    (2.0, 3.0, 0.5), (1.0, 0.5, 1.0), (1.0, 0.0, 1.0)])
 def test_b_zero_matrix_is_rejected(a, c, d):
-    # b = 0 has no integral kernel, whatever the sign of d; the matrix
-    # is rejected when it is built, before any kernel is evaluated
+    # b = 0 has no integral kernel, even with d > 0; the matrix is
+    # rejected when it is built, before any kernel is evaluated
     with pytest.raises(ValueError, match="b = 0"):
         LctParams(a, 0.0, c, d)
+
+
+def test_b_zero_kernel_needs_positive_d():
+    # a b = 0 matrix with d <= 0 is rejected at construction as well,
+    # by the same b = 0 check
+    with pytest.raises(ValueError, match="b = 0"):
+        LctParams(-2.0, 0.0, 3.0, -0.5)
 
 
 def test_inverse_params_matrix():

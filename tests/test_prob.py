@@ -57,6 +57,14 @@ def test_validate_reports_negativity():
     assert d["violations"] == list(rep.violations)
 
 
+def test_validate_rejects_unknown_mode():
+    # validate_qpdf takes no mode: both verdicts are in every report
+    with pytest.raises(TypeError):
+        validate_qpdf(uniform_pdf(65), "lenient")
+    rep = validate_qpdf(uniform_pdf(65))
+    assert rep.strict_ok is False and rep.relaxed_ok is True
+
+
 def test_expectation_named_and_tuple_weights():
     u = uniform_pdf(65)
     assert expectation(u, "x1").q0 == pytest.approx(0.5, abs=1e-12)
@@ -275,3 +283,11 @@ def test_covariance_real_scaling_is_linear():
     assert not isclose(scaled.cov_12, 4.0 * base.cov_12,
                        rel_tol=1e-3, abs_tol=1e-3)
 
+
+def test_qpdf_support_property():
+    # a density is a plain SampledField that integrates to 1 over its
+    # grid, and the probability functions take it directly
+    g = gaussian_pdf(129)
+    assert isinstance(g, SampledField)
+    assert validate_qpdf(g).total_integral.q0 == pytest.approx(1.0, abs=1e-6)
+    assert expectation(g, "x1").q0 == pytest.approx(0.0, abs=1e-9)

@@ -170,6 +170,13 @@ def test_inverse_requires_params():
         inverse(s, spec)
 
 
+def test_inverse_rejects_dirac_axis():
+    # a b = 0 (Dirac) axis never reaches inverse: its parameters are
+    # rejected when they are built
+    with pytest.raises(ValueError, match="b = 0"):
+        TransformParams(LctParams(2.0, 0.0, 3.0, 0.5), FOUR.A2)
+
+
 def test_phase_strip_removes_constant_unit():
     # a spectrum whose every node is e^{-i pi/4} e^{-j pi/4} strips to 1
     spec = GridSpec(-1.0, 1.0, -1.0, 1.0, 5, 5)
