@@ -73,9 +73,14 @@ class GridSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GridSpec":
-        return cls(float(d["x1_min"]), float(d["x1_max"]),
-                   float(d["x2_min"]), float(d["x2_max"]),
-                   int(d["n1"]), int(d["n2"]))
+        try:
+            args = (float(d["x1_min"]), float(d["x1_max"]),
+                    float(d["x2_min"]), float(d["x2_max"]),
+                    int(d["n1"]), int(d["n2"]))
+        except (ValueError, OverflowError) as e:
+            # a non-numeric entry is mistyped, not an invariant violation
+            raise TypeError(f"non-numeric entry: {e}") from e
+        return cls(*args)
 
 
 @dataclass(frozen=True)

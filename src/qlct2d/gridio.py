@@ -11,13 +11,15 @@ Two on-disk forms are supported:
   parameters.
 
 Floats are written with :func:`repr`, whose shortest round-trip
-representation (at most 17 significant digits) reproduces the exact
-binary value on read.
+representation reproduces the exact binary value on read.  Each path
+runs in C: the CSV body is parsed by :func:`numpy.loadtxt` and written
+as one ``%r`` format string with ``\r\n`` line ends, and JSON is read
+by :func:`json.load` and written as one :func:`json.dumps` string,
+because ``json.dump`` to a file never uses the C encoder.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 
@@ -64,14 +66,14 @@ def _header_dict(spec: GridSpec, params: TransformParams | None) -> dict:
 
 def _write_csv(path: str, spec: GridSpec, values: np.ndarray,
                params: TransformParams | None):
-    # csv writes a Python float with repr, so the cells round-trip
     table = np.column_stack([np.repeat(spec.x1_nodes(), spec.n2),
                              np.tile(spec.x2_nodes(), spec.n1),
                              values.reshape(-1, 4)])
+    # %r is the float repr the csv module writes, and \r\n its line end
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(_CSV_HEADER)
-        w.writerows(table.tolist())
+        fh.write(",".join(_CSV_HEADER) + "\r\n")
+        fh.write(("%r,%r,%r,%r,%r,%r\r\n" * table.shape[0])
+                 % tuple(table.ravel().tolist()))
     with open(_sidecar_path(path), "w") as fh:
         json.dump(_header_dict(spec, params), fh, indent=1)
         fh.write("\n")
@@ -116,21 +118,23 @@ def _from_header(path: str, parse, entry):
 
 def _read_csv(path: str) -> tuple[GridSpec, np.ndarray, TransformParams | None]:
     try:
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
+        with open(path) as fh:
+            text = fh.read()
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e}") from e
-    rows = [r for r in rows if r]
-    if not rows:
+    # blank lines are skipped, as loadtxt skips them in the body
+    head, _, body = text.lstrip("\n").partition("\n")
+    if not head:
         raise ParseError(f"{path}: no rows")
-    if [h.strip() for h in rows[0]] != _CSV_HEADER:
+    if [h.strip() for h in head.split(",")] != _CSV_HEADER:
         raise ParseError(f"{path}: expected header {','.join(_CSV_HEADER)}, "
-                         f"got {','.join(rows[0])}")
-    body = rows[1:]
-    if not body:
+                         f"got {head}")
+    if not body.strip("\n"):
         raise ParseError(f"{path}: no rows after header")
     try:
-        data = np.array([[float(v) for v in r] for r in body])
+        # comments=None keeps "#" a bad cell; quotechar accepts "1"
+        data = np.loadtxt(body.split("\n"), delimiter=",", comments=None,
+                          quotechar='"', ndmin=2)
     except ValueError as e:
         raise ParseError(f"{path}: non-numeric cell ({e})") from e
     if data.shape[1] != 6:
@@ -162,8 +166,7 @@ def _write_json(path: str, spec: GridSpec, values: np.ndarray,
     if params is not None:
         doc["params"] = params.to_dict()
     with open(path, "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        fh.write(json.dumps(doc) + "\n")
 
 
 def _read_json(path: str) -> tuple[GridSpec, np.ndarray, TransformParams | None]:

@@ -54,7 +54,12 @@ class LctParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LctParams":
-        return cls(float(d["a"]), float(d["b"]), float(d["c"]), float(d["d"]))
+        try:
+            args = (float(d["a"]), float(d["b"]), float(d["c"]), float(d["d"]))
+        except (ValueError, OverflowError) as e:
+            # a non-numeric entry is mistyped, not an invariant violation
+            raise TypeError(f"non-numeric entry: {e}") from e
+        return cls(*args)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Quaternion:
     """A quaternion with real components (q0, q1, q2, q3) = (1, i, j, k) parts."""
 
@@ -39,12 +39,12 @@ class Quaternion:
     q2: float = 0.0
     q3: float = 0.0
 
-    def __post_init__(self):
-        # normalize numpy scalars and ints to plain floats
-        object.__setattr__(self, "q0", float(self.q0))
-        object.__setattr__(self, "q1", float(self.q1))
-        object.__setattr__(self, "q2", float(self.q2))
-        object.__setattr__(self, "q3", float(self.q3))
+    def __init__(self, q0=0.0, q1=0.0, q2=0.0, q3=0.0):
+        # normalize numpy scalars and ints to plain floats, stored once
+        # each through the instance dict (the frozen __setattr__ raises)
+        d = self.__dict__
+        d["q0"], d["q1"], d["q2"], d["q3"] = (float(q0), float(q1),
+                                              float(q2), float(q3))
 
     def __add__(self, other):
         other = _coerce(other)

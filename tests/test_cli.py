@@ -216,6 +216,27 @@ def test_header_missing_key_exits_2(tmp_path, monkeypatch, capsys,
     assert f"{name}: malformed header" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, keys, text, argv", [
+    ("f.csv.json", ("n1",), '"x"', ["moments", "f.csv"]),
+    ("f.csv.json", ("n1",), "1e400", ["moments", "f.csv"]),
+    ("f.json", ("grid", "x1_min"), '"abc"', ["moments", "f.json"]),
+], ids=["csv-sidecar-n1", "csv-sidecar-n1-overflow", "json-grid-x1_min"])
+def test_header_non_numeric_entry_exits_2(tmp_path, monkeypatch, capsys,
+                                          name, keys, text, argv):
+    monkeypatch.chdir(tmp_path)
+    f = _gaussian(17, 2.0)
+    write_field(f, "f.json")
+    write_field(f, "f.csv")
+    doc = json.loads((tmp_path / name).read_text())
+    entry = doc
+    for key in keys[:-1]:
+        entry = entry[key]
+    entry[keys[-1]] = "@"
+    (tmp_path / name).write_text(json.dumps(doc).replace('"@"', text))
+    assert main(argv + ["--out", "out"]) == 2
+    assert f"{name}: malformed header" in capsys.readouterr().err
+
+
 def test_sidecar_directory_exits_2(tmp_path, capsys):
     src = tmp_path / "f.csv"
     write_field(_gaussian(17, 2.0), str(src))
@@ -267,7 +288,9 @@ _FOUR = {"a": 0.0, "b": 1.0, "c": -1.0, "d": 0.0}
     ({"A1": _FOUR}, "missing matrix A2"),
     ({"A1": [0.0, 1.0, -1.0, 0.0], "A2": _FOUR}, "TypeError"),
     ([_FOUR, _FOUR], "expected a JSON object"),
-], ids=["A1-without-d", "no-A2", "A1-list", "top-level-list"])
+    ({"a": "abc", "b": 1.0, "c": -1.0, "d": 0.0}, "non-numeric entry"),
+], ids=["A1-without-d", "no-A2", "A1-list", "top-level-list",
+        "a-non-numeric"])
 def test_params_missing_or_mistyped_entry_exits_2(tmp_path, capsys,
                                                   doc, message):
     src = str(tmp_path / "f.csv")

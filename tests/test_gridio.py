@@ -1,5 +1,7 @@
 """On-disk grid formats: bit-exact roundtrips and malformed-input errors."""
 
+import csv
+import io
 import json
 import os
 
@@ -144,3 +146,89 @@ def test_json_shape_mismatch_is_parse_error(tmp_path):
                    "values": np.zeros((3, 2, 4)).tolist()}, fh)
     with pytest.raises(ParseError, match="shape"):
         read_field(path)
+
+
+def _csv_variant(tmp_path, edit):
+    """A written field and its CSV file rewritten as edit(lines) gives."""
+    f = _field()
+    path = tmp_path / "field.csv"
+    write_field(f, str(path))
+    lines = path.read_text().splitlines()
+    with open(path, "w", newline="") as fh:
+        fh.write(edit(lines))
+    return f, str(path)
+
+
+def _cell(lines, row, col, text):
+    cells = lines[row].split(",")
+    cells[col] = text
+    return lines[:row] + [",".join(cells)] + lines[row + 1:]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda ls: "\n".join(ls[:3] + [""] + ls[3:]) + "\n",
+    lambda ls: "\n" + "\n".join(ls) + "\n",
+    lambda ls: "\r\n".join(ls) + "\r\n",
+    lambda ls: "\n".join(ls) + "\n",
+    lambda ls: "\n".join(ls),
+    lambda ls: "\n".join(_cell(ls, 1, 2, f'"{ls[1].split(",")[2]}"')),
+], ids=["blank-body-line", "leading-blank-line", "crlf", "lf",
+        "no-final-newline", "quoted-cell"])
+def test_csv_reader_accepts(tmp_path, edit):
+    f, path = _csv_variant(tmp_path, edit)
+    g = read_field(path)
+    assert g.spec == f.spec
+    assert np.array_equal(g.values, f.values)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda ls: "\n".join(ls[:2] + [ls[2].rsplit(",", 1)[0]] + ls[3:]),
+    # in the first column a comment character would hide the whole row
+    lambda ls: "\n".join(_cell(ls, 1, 0, "#1")),
+    lambda ls: "\n".join(ls[:2] + [ls[2] + ","] + ls[3:]),
+    lambda ls: "\n".join(ls[:3] + ["   "] + ls[3:]),
+    # float() reads "1_0" as 10.0, but a grid file holds no such cell
+    lambda ls: "\n".join(_cell(ls, 1, 2, "1_0")),
+], ids=["ragged-row", "hash-cell", "trailing-comma", "whitespace-line",
+        "underscore-digits"])
+def test_csv_reader_rejects(tmp_path, edit):
+    _, path = _csv_variant(tmp_path, edit)
+    with pytest.raises(ParseError, match="non-numeric"):
+        read_field(path)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda ls: ls[0] + "\r\n\r\n", "no rows after header"),
+    (lambda ls: "\n".join(ls[:2]), "1 rows for a 5 x 7 grid"),
+], ids=["header-only", "single-row"])
+def test_csv_reader_counts_rows(tmp_path, edit, message):
+    _, path = _csv_variant(tmp_path, edit)
+    with pytest.raises(ParseError, match=message):
+        read_field(path)
+
+
+def test_writers_match_csv_and_json_module_bytes(tmp_path):
+    extremes = [5e-324, -0.0, 1e16, 1e-5, 1.7976931348623157e308,
+                -2.5e-300, 0.1, 1 / 3]
+    spec = GridSpec(-1.0, 1.0, 0.0, 2.0, 2, 2)
+    f = SampledField(spec, np.array(extremes + extremes[::-1]).reshape(2, 2, 4))
+    rows = [[x1, x2] + f.values[r, c].tolist()
+            for r, x1 in enumerate(spec.x1_nodes().tolist())
+            for c, x2 in enumerate(spec.x2_nodes().tolist())]
+    want_csv = io.StringIO(newline="")
+    csv.writer(want_csv).writerows([["x1", "x2", "qa", "qb", "qc", "qd"]]
+                                   + rows)
+    want_sidecar = json.dumps(spec.to_dict(), indent=1) + "\n"
+    want_json = io.StringIO()
+    json.dump({"grid": spec.to_dict(), "values": f.values.tolist()},
+              want_json)
+    want_json.write("\n")
+
+    write_field(f, str(tmp_path / "f.csv"))
+    write_field(f, str(tmp_path / "f.json"))
+    assert (tmp_path / "f.csv").read_bytes() == want_csv.getvalue().encode()
+    assert (tmp_path / "f.csv.json").read_bytes() == want_sidecar.encode()
+    assert (tmp_path / "f.json").read_bytes() == want_json.getvalue().encode()
+    back = read_field(str(tmp_path / "f.csv"))
+    assert np.array_equal(back.values, f.values)
+    assert np.signbit(back.values[0, 0, 1])
