@@ -76,11 +76,20 @@ class GridSpec:
         try:
             args = (float(d["x1_min"]), float(d["x1_max"]),
                     float(d["x2_min"]), float(d["x2_max"]),
-                    int(d["n1"]), int(d["n2"]))
+                    _count(d["n1"]), _count(d["n2"]))
         except (ValueError, OverflowError) as e:
             # a non-numeric entry is mistyped, not an invariant violation
             raise TypeError(f"non-numeric entry: {e}") from e
         return cls(*args)
+
+
+def _count(v) -> int:
+    """int(v) for a grid count; a float with a fractional part is a
+    mistyped entry, not one to truncate."""
+    n = int(v)
+    if isinstance(v, float) and n != v:
+        raise TypeError(f"non-integral count {v!r}")
+    return n
 
 
 @dataclass(frozen=True)

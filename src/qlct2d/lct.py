@@ -42,6 +42,9 @@ class LctParams:
     d: float
 
     def __post_init__(self):
+        for name, v in self.to_dict().items():
+            if not math.isfinite(v):
+                raise ValueError(f"non-finite entry {name} = {v!r}")
         det = self.a * self.d - self.b * self.c
         if abs(det - 1.0) > _DET_TOL:
             raise ValueError(f"det(A) != 1 (got {det!r})")

@@ -5,10 +5,10 @@ The forward transform evaluates, for every frequency node (u1, u2),
     T{f}(u1, u2) = sum_x  K_i(x1, u1) * f(x1, x2) * K_j(x2, u2) * w(x)
 
 with quadrature weights w; the i-kernel always multiplies from the left
-and the j-kernel from the right.  Because the i-kernel lives in span{1,i}
-and the j-kernel in span{1,j}, both half-sandwiches reduce to complex
-matrix products on component pairs, which keeps the direct quadrature
-affordable without any FFT factorization.
+and the j-kernel from the right.  As the kernels live in span{1,i} and
+span{1,j}, each half-sandwich is one complex matrix product on the
+symplectic pairs q = (q0 + q1 i) + (q2 + q3 i) j (Ell & Sangwine 2007),
+which keeps the direct quadrature affordable without an FFT factorization.
 """
 
 from __future__ import annotations
@@ -47,22 +47,17 @@ def _sandwich(values: np.ndarray, kl: np.ndarray, kr: np.ndarray) -> np.ndarray:
     """Quaternion sandwich sum_rc kl[m,r] * q[r,c] * kr[c,n].
 
     kl's imaginary unit acts as i, kr's as j.  Left multiplication by
-    a span{1,i} factor is complex multiplication on the pairs (q0,q1)
-    and (q2,q3); right multiplication by span{1,j} acts on (q0,q2) and
-    (q1,q3).
+    span{1,i} acts on the pairs (q0,q1), (q2,q3): the values viewed as
+    complex, one product.  Right multiplication by span{1,j} acts on
+    (q0,q2), (q1,q3): the rows g1.re + i g2.re, g1.im + i g2.im of g.
     """
-    c1 = values[..., 0] + 1j * values[..., 1]
-    c2 = values[..., 2] + 1j * values[..., 3]
-    g1 = kl @ c1
-    g2 = kl @ c2
-    d1 = (g1.real + 1j * g2.real) @ kr
-    d2 = (g1.imag + 1j * g2.imag) @ kr
-    out = np.empty(d1.shape + (4,))
-    out[..., 0] = d1.real
-    out[..., 2] = d1.imag
-    out[..., 1] = d2.real
-    out[..., 3] = d2.imag
-    return out
+    m, (n1, n2) = kl.shape[0], values.shape[:2]
+    g = kl @ np.ascontiguousarray(values).view(complex).reshape(n1, 2 * n2)
+    rows = g.view(float).reshape(m, n2, 2, 2).transpose(0, 3, 1, 2).copy()
+    d = rows.view(complex).reshape(2 * m, n2) @ kr
+    # d's rows alternate d1 = (q0, q2) and d2 = (q1, q3) pairs
+    d = d.view(float).reshape(m, 2, -1, 2).transpose(0, 2, 3, 1)
+    return d.reshape(m, -1, 4)
 
 
 def forward(f: SampledField, params: TransformParams,

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -220,7 +221,9 @@ def test_header_missing_key_exits_2(tmp_path, monkeypatch, capsys,
     ("f.csv.json", ("n1",), '"x"', ["moments", "f.csv"]),
     ("f.csv.json", ("n1",), "1e400", ["moments", "f.csv"]),
     ("f.json", ("grid", "x1_min"), '"abc"', ["moments", "f.json"]),
-], ids=["csv-sidecar-n1", "csv-sidecar-n1-overflow", "json-grid-x1_min"])
+    ("f.csv.json", ("n1",), "17.9", ["moments", "f.csv"]),
+], ids=["csv-sidecar-n1", "csv-sidecar-n1-overflow", "json-grid-x1_min",
+        "csv-sidecar-n1-fractional"])
 def test_header_non_numeric_entry_exits_2(tmp_path, monkeypatch, capsys,
                                           name, keys, text, argv):
     monkeypatch.chdir(tmp_path)
@@ -235,6 +238,15 @@ def test_header_non_numeric_entry_exits_2(tmp_path, monkeypatch, capsys,
     (tmp_path / name).write_text(json.dumps(doc).replace('"@"', text))
     assert main(argv + ["--out", "out"]) == 2
     assert f"{name}: malformed header" in capsys.readouterr().err
+
+
+def test_integral_float_count_is_accepted(tmp_path):
+    src = tmp_path / "f.csv"
+    write_field(_gaussian(17, 2.0), str(src))
+    sidecar = tmp_path / "f.csv.json"
+    doc = json.loads(sidecar.read_text())
+    sidecar.write_text(json.dumps(dict(doc, n1=17.0)))
+    assert main(["moments", str(src), "--out", str(tmp_path / "m.json")]) == 0
 
 
 def test_sidecar_directory_exits_2(tmp_path, capsys):
@@ -277,6 +289,24 @@ def test_b_zero_positive_d_params_exit_3(tmp_path, capsys):
     bad = _write_params(tmp_path / "params.json", a=1.0, b=0.0, c=0.5, d=1.0)
     assert main(["transform", src, "--params", bad, "--out", str(out)]) == 3
     assert "b = 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_finite_params_entry_exits_3(tmp_path, capsys):
+    # a = inf makes det(A) NaN, which no det tolerance rejects; the entry
+    # itself must be rejected, before any kernel is built
+    src = str(tmp_path / "f.csv")
+    out = tmp_path / "o.json"
+    write_field(_gaussian(17, 2.0), src)
+    params = tmp_path / "params.json"
+    params.write_text('{"a": 1e400, "b": 1, "c": -1, "d": 0}')
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["transform", src, "--params", str(params),
+                   "--out", str(out)])
+    assert rc == 3
+    assert f"{params}: A: non-finite entry a = inf" in capsys.readouterr().err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not out.exists()
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from qlct2d.field import GridSpec, SampledField, l2_norm, quad_weights_1d
 from qlct2d.lct import LctParams, TransformParams, fourier_params
+from qlct2d.prob import charfn
 from qlct2d.transform import (Spectrum, correlate, forward, inverse,
                               parseval_ratio, phase_strip, product_residuals)
 from qlct2d.verify import bump_field, gaussian_test_field, structured_pair
@@ -64,6 +65,29 @@ def test_real_scalar_linearity():
     assert np.max(np.abs(s_sum.values - sf.values - sg.values)) <= 1e-10
     s_scaled = forward(f.scale(2.5), FOUR, freq)
     assert np.max(np.abs(s_scaled.values - 2.5 * sf.values)) <= 1e-10
+
+
+@pytest.mark.parametrize("layout", ["strided", "transposed"])
+def test_non_contiguous_values_give_the_same_spectrum(layout):
+    # the sandwich views the values as complex pairs, which needs a
+    # contiguous array; a strided or transposed layout must be copied
+    # first and give the bits of the contiguous array
+    spec = GridSpec(-3.0, 3.0, -2.0, 2.0, 9, 7)
+    freq = GridSpec(-2.0, 2.0, -1.5, 1.5, 5, 6)
+    v = np.random.default_rng(11).standard_normal((9, 7, 4))
+    if layout == "strided":
+        big = np.zeros((9, 7, 8))
+        big[..., ::2] = v
+        w = big[..., ::2]
+    else:
+        w = np.ascontiguousarray(v.T).T
+    f = SampledField(spec, w)
+    assert not f.values.flags.c_contiguous
+    g = SampledField(spec, v)
+    assert np.array_equal(forward(f, FOUR, freq).values,
+                          forward(g, FOUR, freq).values)
+    assert np.array_equal(charfn(f, freq).spectrum.values,
+                          charfn(g, freq).spectrum.values)
 
 
 def test_roundtrip_fourier():

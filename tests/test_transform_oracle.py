@@ -7,15 +7,19 @@ the matrix layout of the sandwich it checks: it pins the factor order,
 the transposes and the quadrature weights.  Grids cover n1 != n2 and
 both quadrature rules (n < 6 and n >= 6); parameters have b != 0 of
 either sign and differ between the axes.
+
+`_sandwich` itself is checked against the four complex products on the
+pairs (q0 + i q1, q2 + i q3) that its two stacked products replace, on
+shapes where every dimension differs and on transposed kernel layouts.
 """
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qlct2d.field import GridSpec, SampledField, qnorm_values, quad_weights_1d
 from qlct2d.lct import LctParams, TransformParams, kernel_i, kernel_j
 from qlct2d.quaternion import Quaternion, mul
-from qlct2d.transform import Spectrum, forward, inverse
+from qlct2d.transform import Spectrum, _sandwich, forward, inverse
 
 
 def _sandwich_sum(values: np.ndarray, src: GridSpec, dst: GridSpec,
@@ -91,3 +95,60 @@ def test_inverse_matches_scalar_sum(case):
     v = np.random.default_rng(seed).standard_normal((freq.n1, freq.n2, 4))
     got = inverse(Spectrum(freq, v, params), space).values
     _assert_matches(got, _sandwich_sum(v, freq, space, params, True))
+
+
+def _four_product_sandwich(values: np.ndarray, kl: np.ndarray,
+                           kr: np.ndarray) -> np.ndarray:
+    """One complex product per pair and side: kl on c1 = q0 + i q1 and
+    c2 = q2 + i q3, then kr on g1.re + i g2.re and g1.im + i g2.im."""
+    c1 = values[..., 0] + 1j * values[..., 1]
+    c2 = values[..., 2] + 1j * values[..., 3]
+    g1 = kl @ c1
+    g2 = kl @ c2
+    d1 = (g1.real + 1j * g2.real) @ kr
+    d2 = (g1.imag + 1j * g2.imag) @ kr
+    return np.stack([d1.real, d2.real, d1.imag, d2.imag], axis=-1)
+
+
+@st.composite
+def _sandwich_operands(draw):
+    m, n1, n2, n = draw(st.lists(st.integers(1, 9), min_size=4,
+                                 max_size=4, unique=True))
+    return m, n1, n2, n, draw(st.booleans()), draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_sandwich_operands())
+@example((1, 5, 3, 7, False, 0))
+@example((6, 4, 2, 1, True, 1))
+@example((1, 2, 3, 1, True, 2))
+def test_sandwich_matches_four_products(operands):
+    m, n1, n2, n, transposed, seed = operands
+    rng = np.random.default_rng(seed)
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    values = rng.standard_normal((n1, n2, 4))
+    # a transposed kl is an F-ordered view, as kernel_matrix(...).T is
+    kl = cplx(n1, m).T if transposed else cplx(m, n1)
+    kr = cplx(n2, n)
+    got = _sandwich(values, kl, kr)
+    want = _four_product_sandwich(values, kl, kr)
+    assert got.shape == (m, n, 4)
+    assert float(np.max(qnorm_values(got - want))) \
+        <= 1e-13 * float(np.max(qnorm_values(want)))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_cases(), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+def test_forward_is_real_linear(case, a, b):
+    space, freq, params, seed = case
+    rng = np.random.default_rng(seed)
+    f, g = (SampledField(space, rng.standard_normal((space.n1, space.n2, 4)))
+            for _ in range(2))
+    tf, tg = forward(f, params, freq).values, forward(g, params, freq).values
+    got = forward(f.scale(a) + g.scale(b), params, freq).values
+    scale = abs(a) * np.max(qnorm_values(tf)) + abs(b) * np.max(qnorm_values(tg))
+    assert float(np.max(qnorm_values(got - (a * tf + b * tg)))) \
+        <= 1e-12 * float(scale)
