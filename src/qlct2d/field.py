@@ -49,6 +49,9 @@ class GridSpec:
             raise ValueError("GridSpec: x1_min must be < x1_max")
         if not (self.x2_min < self.x2_max):
             raise ValueError("GridSpec: x2_min must be < x2_max")
+        # n % 1 is nonzero, or NaN, for a fractional or non-finite count
+        if self.n1 % 1 or self.n2 % 1:
+            raise ValueError("GridSpec: n1 and n2 must be integers")
         if self.n1 < 2 or self.n2 < 2:
             raise ValueError("GridSpec: n1 and n2 must be >= 2")
 

@@ -52,12 +52,14 @@ def _sandwich(values: np.ndarray, kl: np.ndarray, kr: np.ndarray) -> np.ndarray:
     (q0,q2), (q1,q3): the rows g1.re + i g2.re, g1.im + i g2.im of g.
     """
     m, (n1, n2) = kl.shape[0], values.shape[:2]
+    # g is rebound at each stage, so a full-size buffer is freed as soon
+    # as its successor exists: at most two are alive at once
     g = kl @ np.ascontiguousarray(values).view(complex).reshape(n1, 2 * n2)
-    rows = g.view(float).reshape(m, n2, 2, 2).transpose(0, 3, 1, 2).copy()
-    d = rows.view(complex).reshape(2 * m, n2) @ kr
-    # d's rows alternate d1 = (q0, q2) and d2 = (q1, q3) pairs
-    d = d.view(float).reshape(m, 2, -1, 2).transpose(0, 2, 3, 1)
-    return d.reshape(m, -1, 4)
+    g = g.view(float).reshape(m, n2, 2, 2).transpose(0, 3, 1, 2).copy()
+    g = g.view(complex).reshape(2 * m, n2) @ kr
+    # g's rows alternate d1 = (q0, q2) and d2 = (q1, q3) pairs
+    g = g.view(float).reshape(m, 2, -1, 2).transpose(0, 2, 3, 1)
+    return g.reshape(m, -1, 4)
 
 
 def forward(f: SampledField, params: TransformParams,

@@ -29,6 +29,13 @@ def test_gridspec_validation():
         GridSpec(0.0, 1.0, 2.0, 1.0, 5, 5)
     with pytest.raises(ValueError):
         GridSpec(0.0, 1.0, 0.0, 1.0, 1, 5)
+    # a fractional or non-finite count would place nodes outside the box
+    with pytest.raises(ValueError, match="integers"):
+        GridSpec(-1.0, 1.0, -1.0, 1.0, 9.5, 9)
+    with pytest.raises(ValueError, match="integers"):
+        GridSpec(-1.0, 1.0, -1.0, 1.0, 9, math.inf)
+    spec = GridSpec(-1.0, 1.0, -1.0, 1.0, 9.0, np.int64(9))
+    assert spec.x1_nodes()[-1] == 1.0 and spec.x2_nodes().size == 9
 
 
 def test_gridspec_rejects_nonfinite_bounds():

@@ -1,6 +1,7 @@
 """Forward/inverse transform, energy ratios, convolution identities."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ import pytest
 from qlct2d.field import GridSpec, SampledField, l2_norm, quad_weights_1d
 from qlct2d.lct import LctParams, TransformParams, fourier_params
 from qlct2d.prob import charfn
-from qlct2d.transform import (Spectrum, correlate, forward, inverse,
-                              parseval_ratio, phase_strip, product_residuals)
+from qlct2d.transform import (Spectrum, _sandwich, correlate, forward,
+                              inverse, parseval_ratio, phase_strip,
+                              product_residuals)
 from qlct2d.verify import bump_field, gaussian_test_field, structured_pair
 
 FOUR = fourier_params()
@@ -88,6 +90,23 @@ def test_non_contiguous_values_give_the_same_spectrum(layout):
                           forward(g, FOUR, freq).values)
     assert np.array_equal(charfn(f, freq).spectrum.values,
                           charfn(g, freq).spectrum.values)
+
+
+@pytest.mark.parametrize("n1, n2, m, n", [(65, 65, 65, 65), (40, 30, 20, 50)])
+def test_sandwich_peak_memory(n1, n2, m, n):
+    # above its operands, the sandwich may hold the result and one other
+    # full-size buffer; a third one alive at once reads about 3x or more
+    rng = np.random.default_rng(7)
+    values = rng.standard_normal((n1, n2, 4))
+    kl = rng.standard_normal((m, n1)) + 1j * rng.standard_normal((m, n1))
+    kr = rng.standard_normal((n2, n)) + 1j * rng.standard_normal((n2, n))
+    tracemalloc.start()
+    try:
+        result = _sandwich(values, kl, kr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * result.nbytes
 
 
 def test_roundtrip_fourier():
