@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from .field import GridSpec
 from .gridio import (ParseError, _from_header, _load_json, read_field,
@@ -39,9 +40,8 @@ def _parse_grid(text: str) -> GridSpec:
     if len(parts) != 6:
         raise ValueError(
             f"--grid expects x1min,x1max,x2min,x2max,n1,n2 (got {text!r})")
-    return GridSpec(float(parts[0]), float(parts[1]),
-                    float(parts[2]), float(parts[3]),
-                    int(parts[4]), int(parts[5]))
+    return GridSpec.from_dict(
+        dict(zip((f.name for f in fields(GridSpec)), parts)))
 
 
 def _matrix(path: str, key: str, entry) -> LctParams:

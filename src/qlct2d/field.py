@@ -10,7 +10,7 @@ discrete-delta convolution identities valid away from the boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
@@ -52,6 +52,9 @@ class GridSpec:
         # n % 1 is nonzero, or NaN, for a fractional or non-finite count
         if self.n1 % 1 or self.n2 % 1:
             raise ValueError("GridSpec: n1 and n2 must be integers")
+        # stored as plain ints, which the CSV and JSON writers need
+        object.__setattr__(self, "n1", int(self.n1))
+        object.__setattr__(self, "n2", int(self.n2))
         if self.n1 < 2 or self.n2 < 2:
             raise ValueError("GridSpec: n1 and n2 must be >= 2")
 
@@ -70,9 +73,7 @@ class GridSpec:
         return self.x2_min + self.h2 * np.arange(self.n2)
 
     def to_dict(self) -> dict:
-        return {"x1_min": self.x1_min, "x1_max": self.x1_max,
-                "x2_min": self.x2_min, "x2_max": self.x2_max,
-                "n1": self.n1, "n2": self.n2}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "GridSpec":
@@ -173,8 +174,6 @@ def sample(f, spec: GridSpec) -> SampledField:
                 v[r, c] = q.components()
             else:
                 v[r, c] = (float(q), 0.0, 0.0, 0.0)
-            if not np.all(np.isfinite(v[r, c])):
-                raise ValueError(f"non-finite sample at node x1={a}, x2={b}")
     return SampledField(spec, v)
 
 

@@ -48,15 +48,6 @@ def _sidecar_path(path: str) -> str:
     return path + ".json"
 
 
-def _format_from_path(path: str, fmt: str | None) -> str:
-    if fmt is not None:
-        if fmt not in ("csv", "json"):
-            raise ValueError(f"unknown format {fmt!r} (expected csv or json)")
-        return fmt
-    ext = os.path.splitext(path)[1].lower()
-    return "json" if ext == ".json" else "csv"
-
-
 def _header_dict(spec: GridSpec, params: TransformParams | None) -> dict:
     d = spec.to_dict()
     if params is not None:
@@ -184,35 +175,35 @@ def _read_json(path: str) -> tuple[GridSpec, np.ndarray, TransformParams | None]
     return spec, values, params
 
 
+_CODECS = {"csv": (_read_csv, _write_csv), "json": (_read_json, _write_json)}
+
+
+def _codec(path: str, fmt: str | None):
+    """(reader, writer) of fmt, or by path's extension: .json or csv."""
+    if fmt is None:
+        ext = os.path.splitext(path)[1].lower()
+        fmt = "json" if ext == ".json" else "csv"
+    if fmt not in _CODECS:
+        raise ValueError(f"unknown format {fmt!r} (expected csv or json)")
+    return _CODECS[fmt]
+
+
 def write_field(f: SampledField, path: str, fmt: str | None = None):
     """Write a field as CSV (with JSON sidecar) or single-file JSON."""
-    if _format_from_path(path, fmt) == "json":
-        _write_json(path, f.spec, f.values, None)
-    else:
-        _write_csv(path, f.spec, f.values, None)
+    _codec(path, fmt)[1](path, f.spec, f.values, None)
 
 
 def read_field(path: str, fmt: str | None = None) -> SampledField:
     """Read a field; format is taken from the extension unless given."""
-    if _format_from_path(path, fmt) == "json":
-        spec, values, _ = _read_json(path)
-    else:
-        spec, values, _ = _read_csv(path)
+    spec, values, _ = _codec(path, fmt)[0](path)
     return SampledField(spec, values)
 
 
 def write_spectrum(s: Spectrum, path: str, fmt: str | None = None):
     """Write a spectrum; its transform parameters go in the header."""
-    if _format_from_path(path, fmt) == "json":
-        _write_json(path, s.spec, s.values, s.params)
-    else:
-        _write_csv(path, s.spec, s.values, s.params)
+    _codec(path, fmt)[1](path, s.spec, s.values, s.params)
 
 
 def read_spectrum(path: str, fmt: str | None = None) -> Spectrum:
     """Read a spectrum, restoring embedded transform parameters."""
-    if _format_from_path(path, fmt) == "json":
-        spec, values, params = _read_json(path)
-    else:
-        spec, values, params = _read_csv(path)
-    return Spectrum(spec, values, params)
+    return Spectrum(*_codec(path, fmt)[0](path))

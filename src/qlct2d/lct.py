@@ -13,7 +13,7 @@ kernel and so no place in the quadrature sandwich.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -53,7 +53,7 @@ class LctParams:
                              "is a chirp-scaled dilation)")
 
     def to_dict(self) -> dict:
-        return {"a": self.a, "b": self.b, "c": self.c, "d": self.d}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "LctParams":
@@ -73,7 +73,7 @@ class TransformParams:
     A2: LctParams
 
     def to_dict(self) -> dict:
-        return {"A1": self.A1.to_dict(), "A2": self.A2.to_dict()}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TransformParams":

@@ -154,7 +154,8 @@ def charfn(f: SampledField, freq: GridSpec, mode: str = "fourier",
 
     Fourier mode sandwiches f between e^{iux1} (left) and e^{jvx2}
     (right) with positive exponents and no amplitude factor.  Lct mode
-    uses the canonical-transform kernels and requires params.
+    uses the canonical-transform kernels and requires params, which
+    fourier mode rejects.
     """
     if mode == "lct":
         if params is None:
@@ -162,6 +163,8 @@ def charfn(f: SampledField, freq: GridSpec, mode: str = "fourier",
         return CharFn(forward(f, params, freq), "lct")
     if mode != "fourier":
         raise ValueError(f"unknown mode {mode!r}")
+    if params is not None:
+        raise ValueError("fourier mode takes no params (use mode lct)")
     x1, x2 = f.spec.x1_nodes(), f.spec.x2_nodes()
     u, v = freq.x1_nodes(), freq.x2_nodes()
     w1 = quad_weights_1d(f.spec.n1, f.spec.h1)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -38,10 +38,6 @@ __all__ = [
     "ledger_text",
 ]
 
-VERDICTS = ("reproduced", "reproduced-with-different-constant",
-            "not-reproduced", "diagnostic-only")
-
-
 @dataclass(frozen=True)
 class Claim:
     """One ledger line: a stated value against its measurement."""
@@ -55,15 +51,7 @@ class Claim:
     detail: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "claim_id": self.claim_id,
-            "stated": self.stated,
-            "measured": self.measured,
-            "verdict": self.verdict,
-            "required": self.required,
-            "passed": self.passed,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 def _fmt(x: float) -> str:
@@ -209,24 +197,25 @@ def generic_pair(n: int, box: float = 6.0) -> tuple[SampledField, SampledField]:
 # ---------------------------------------------------------------------------
 # closed-form oracles for Example 2
 
+def _removable(u: np.ndarray, at_zero: complex, formula) -> np.ndarray:
+    """formula(u) as a complex array, with its removable singularity at
+    u = 0 filled by the limit at_zero."""
+    u = np.asarray(u, dtype=float)
+    out = np.full(u.shape, complex(at_zero))
+    nz = u != 0.0
+    out[nz] = formula(u[nz])
+    return out
+
+
 def _moment_factor(u: np.ndarray) -> np.ndarray:
     """integral_0^1 x e^{-iux} dx = (e^{-iu}(1+iu) - 1)/u^2, value 1/2 at 0."""
-    u = np.asarray(u, dtype=float)
-    out = np.full(u.shape, 0.5 + 0.0j)
-    nz = u != 0.0
-    un = u[nz]
-    out[nz] = (np.exp(-1j * un) * (1.0 + 1j * un) - 1.0) / un ** 2
-    return out
+    return _removable(
+        u, 0.5, lambda t: (np.exp(-1j * t) * (1.0 + 1j * t) - 1.0) / t ** 2)
 
 
 def _mass_factor(u: np.ndarray) -> np.ndarray:
     """integral_0^1 e^{-iux} dx = (1 - e^{-iu})/(iu), value 1 at 0."""
-    u = np.asarray(u, dtype=float)
-    out = np.full(u.shape, 1.0 + 0.0j)
-    nz = u != 0.0
-    un = u[nz]
-    out[nz] = (1.0 - np.exp(-1j * un)) / (1j * un)
-    return out
+    return _removable(u, 1.0, lambda t: (1.0 - np.exp(-1j * t)) / (1j * t))
 
 
 def example2_charfn_oracle(freq: GridSpec) -> np.ndarray:
@@ -265,12 +254,8 @@ def example2_paper_formula(freq: GridSpec) -> np.ndarray:
     v = freq.x2_nodes()
 
     def factor(t):
-        t = np.asarray(t, dtype=float)
-        out = np.full(t.shape, 0.5 + 0.0j)
-        nz = t != 0.0
-        tn = t[nz]
-        out[nz] = (1.0 - np.exp(-1j * tn) + 1j * tn) / tn ** 2
-        return out
+        return _removable(t, 0.5,
+                          lambda s: (1.0 - np.exp(-1j * s) + 1j * s) / s ** 2)
 
     return np.stack(_ij(factor(u), factor(v)), axis=-1) / (2.0 * math.pi)
 

@@ -80,6 +80,17 @@ def test_charfn_command(tmp_path):
     assert np.max(np.abs(got.values - want.values)) <= 1e-9
 
 
+def test_charfn_params_without_lct_mode_exits_3(tmp_path, capsys):
+    src = str(tmp_path / "field.csv")
+    out = tmp_path / "cf.json"
+    write_field(_gaussian(17, 2.0), src)
+    params = _write_params(tmp_path / "p.json", 1.0, 0.5, 0.0, 1.0)
+    assert main(["charfn", src, "--freq-grid=-4,4,-4,4,9,9",
+                 "--params", params, "--out", str(out)]) == 3
+    assert not out.exists()
+    assert "mode lct" in capsys.readouterr().err
+
+
 def test_moments_command(tmp_path):
     spec = GridSpec(0.0, 1.0, 0.0, 1.0, 65, 65)
     v = np.zeros((65, 65, 4))
@@ -166,6 +177,16 @@ def test_malformed_grid_argument_exits_3(tmp_path):
     src = str(tmp_path / "f.csv")
     write_field(f, src)
     assert main(["transform", src, "--freq-grid=1,2,3",
+                 "--out", str(tmp_path / "o.json")]) == 3
+
+
+@pytest.mark.parametrize("grid", ["x,2,-2,2,9,9", "-2,2,-2,2,9.5,9",
+                                  "-2,2,-2,2,9,1", "2,-2,-2,2,9,9",
+                                  "-2,2,nan,2,9,9"])
+def test_grid_argument_errors_exit_3(tmp_path, grid):
+    src = str(tmp_path / "f.csv")
+    write_field(_gaussian(17, 2.0), src)
+    assert main(["transform", src, f"--freq-grid={grid}",
                  "--out", str(tmp_path / "o.json")]) == 3
 
 

@@ -13,6 +13,7 @@ from qlct2d.gridio import (ParseError, read_field, read_spectrum, write_field,
                            write_spectrum)
 from qlct2d.lct import LctParams, TransformParams
 from qlct2d.transform import Spectrum
+from qlct2d.verify import Claim
 
 
 def _field():
@@ -232,3 +233,34 @@ def test_writers_match_csv_and_json_module_bytes(tmp_path):
     back = read_field(str(tmp_path / "f.csv"))
     assert np.array_equal(back.values, f.values)
     assert np.signbit(back.values[0, 0, 1])
+
+
+@pytest.mark.parametrize("count", [np.int64(9), 9.0], ids=["int64", "float"])
+@pytest.mark.parametrize("name", ["f.csv", "f.json"])
+def test_numpy_and_float_counts_roundtrip(tmp_path, count, name):
+    spec = GridSpec(-1.0, 1.0, -1.0, 1.0, count, count)
+    f = SampledField(spec, np.ones((9, 9, 4)))
+    path = str(tmp_path / name)
+    write_field(f, path)
+    g = read_field(path)
+    assert g.spec == spec and type(spec.n1) is type(g.spec.n1) is int
+    assert np.array_equal(g.values, f.values)
+
+
+# a record's field order decides the bytes of sidecars, headers and the
+# ledger, so each layout is pinned here, key order included
+@pytest.mark.parametrize("record, want", [
+    (GridSpec(-1.0, 1.0, 0.0, 2.0, 5, 7),
+     {"x1_min": -1.0, "x1_max": 1.0, "x2_min": 0.0, "x2_max": 2.0,
+      "n1": 5, "n2": 7}),
+    (LctParams(1.0, 0.5, 0.0, 1.0), {"a": 1.0, "b": 0.5, "c": 0.0, "d": 1.0}),
+    (_spectrum().params,
+     {"A1": {"a": 1.0, "b": 0.5, "c": 0.0, "d": 1.0},
+      "A2": {"a": 0.0, "b": 1.0, "c": -1.0, "d": 0.0}}),
+    (Claim("x.y", "1", "1.0", "reproduced", True, False, "note"),
+     {"claim_id": "x.y", "stated": "1", "measured": "1.0",
+      "verdict": "reproduced", "required": True, "passed": False,
+      "detail": "note"}),
+])
+def test_record_layouts(record, want):
+    assert json.dumps(record.to_dict()) == json.dumps(want)

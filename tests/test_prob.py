@@ -169,6 +169,13 @@ def test_charfn_mode_validation():
         CharFn(s, "lct")  # no params on a fourier-built spectrum
 
 
+def test_charfn_fourier_mode_rejects_params():
+    f = uniform_pdf(65)
+    freq = GridSpec(-1.0, 1.0, -1.0, 1.0, 5, 5)
+    with pytest.raises(ValueError, match="mode lct"):
+        charfn(f, freq, params=fourier_params())
+
+
 def test_charfn_properties_need_origin_node():
     f = uniform_pdf(65)
     freq = GridSpec(0.5, 1.5, 0.5, 1.5, 5, 5)
