@@ -42,6 +42,12 @@ class GridSpec:
     n2: int
 
     def __post_init__(self):
+        # a numpy scalar bound is stored as the Python number json
+        # encodes; Python ints and floats are kept as given
+        for name in ("x1_min", "x1_max", "x2_min", "x2_max"):
+            v = getattr(self, name)
+            if isinstance(v, np.generic):
+                object.__setattr__(self, name, v.item())
         if not np.all(np.isfinite([self.x1_min, self.x1_max,
                                    self.x2_min, self.x2_max])):
             raise ValueError("GridSpec: bounds must be finite")

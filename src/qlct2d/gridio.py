@@ -61,13 +61,16 @@ def _write_csv(path: str, spec: GridSpec, values: np.ndarray,
                              np.tile(spec.x2_nodes(), spec.n1),
                              values.reshape(-1, 4)])
     # %r is the float repr the csv module writes, and \r\n its line end
+    body = (",".join(_CSV_HEADER) + "\r\n"
+            + ("%r,%r,%r,%r,%r,%r\r\n" * table.shape[0])
+            % tuple(table.ravel().tolist()))
+    side = json.dumps(_header_dict(spec, params), indent=1) + "\n"
+    # both strings exist before either file is opened, so a value that
+    # cannot be encoded leaves no file behind
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(_CSV_HEADER) + "\r\n")
-        fh.write(("%r,%r,%r,%r,%r,%r\r\n" * table.shape[0])
-                 % tuple(table.ravel().tolist()))
+        fh.write(body)
     with open(_sidecar_path(path), "w") as fh:
-        json.dump(_header_dict(spec, params), fh, indent=1)
-        fh.write("\n")
+        fh.write(side)
 
 
 def _infer_spec_from_columns(x1: np.ndarray, x2: np.ndarray) -> GridSpec:
@@ -156,8 +159,9 @@ def _write_json(path: str, spec: GridSpec, values: np.ndarray,
     doc = {"grid": _header_dict(spec, None), "values": values.tolist()}
     if params is not None:
         doc["params"] = params.to_dict()
+    text = json.dumps(doc) + "\n"
     with open(path, "w") as fh:
-        fh.write(json.dumps(doc) + "\n")
+        fh.write(text)
 
 
 def _read_json(path: str) -> tuple[GridSpec, np.ndarray, TransformParams | None]:

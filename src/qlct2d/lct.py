@@ -5,6 +5,12 @@ The axis-1 kernel lives in span{1, i}, the axis-2 kernel in span{1, j}:
 
     (2*pi*|b|)^{-1/2} * exp(unit * (a/(2b) x^2 - x u / b + d/(2b) u^2 - pi/4))
 
+kernel_matrix evaluates it on a node grid blockwise, from the
+angle-addition identity exp(unit (t + s)) = exp(unit t) exp(unit s):
+on uniform frequency nodes, about 2 n_x sqrt(n_u) complex exponentials
+and two complex products over the n_x x n_u output replace n_x n_u
+exponentials, and the temporaries hold about 2 n_x sqrt(n_u) values.
+
 A matrix with b = 0 is rejected: there the transform is the chirp-scaled
 dilation sqrt(d) exp(unit * (c d / 2) u^2) f(d u), which has no integral
 kernel and so no place in the quadrature sandwich.
@@ -98,17 +104,40 @@ def kernel_matrix(p: LctParams, x: np.ndarray, u: np.ndarray,
     The imaginary axis stands for the kernel's own unit (i for axis 1,
     j for axis 2).  With conjugate=True the unit-conjugated kernel
     exp(-unit * phase) is returned, which is the exact inverse kernel.
+
+    Built blockwise from the angle-addition identity: with u_c =
+    u[C*B] + c'*h for c = C*B + c' and B = isqrt(len(u)),
+
+        K[r, c] = coarse[r, C] * fine[r, c'] * col[c]
+        coarse  = amp * exp(unit * (a/(2b) x^2 - x u[C*B] / b - pi/4))
+        fine    = exp(-unit * x c' h / b)
+        col     = exp(unit * d/(2b) u^2)
+
+    Nodes u that are not uniform within rounding take B = 1, one
+    exponential per entry.
     """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
+    unit = -1j if conjugate else 1j
     amp = 1.0 / math.sqrt(2.0 * math.pi * abs(p.b))
-    phase = ((p.a / (2.0 * p.b)) * x[:, None] ** 2
-             - np.outer(x, u) / p.b
-             + (p.d / (2.0 * p.b)) * u[None, :] ** 2
-             - math.pi / 4.0)
-    if conjugate:
-        phase = -phase
-    return amp * np.exp(1j * phase)
+    n = len(u)
+    h = (u[-1] - u[0]) / max(n - 1, 1)
+    tol = 8.0 * np.finfo(float).eps * np.max(np.abs(u))
+    uniform = np.all(np.abs(u - (u[0] + h * np.arange(n))) <= tol)
+    block = math.isqrt(n) if uniform else 1
+    coarse = amp * np.exp(unit * ((p.a / (2.0 * p.b)) * x[:, None] ** 2
+                                  - np.outer(x, u[::block]) / p.b
+                                  - math.pi / 4.0))
+    fine = np.exp(-unit * np.outer(x, np.arange(block) * (h / p.b)))
+    col = np.exp(unit * (p.d / (2.0 * p.b)) * u ** 2)
+    k = np.empty((len(x), n), dtype=complex)
+    whole, rest = divmod(n, block)
+    np.multiply(coarse[:, :whole, None], fine[:, None, :],
+                out=k[:, :n - rest].reshape(len(x), whole, block))
+    # the last, partial block when block does not divide n
+    np.multiply(coarse[:, whole:], fine[:, :rest], out=k[:, n - rest:])
+    k *= col
+    return k
 
 
 def kernel_i(p: LctParams, x1: float, u1: float) -> Quaternion:

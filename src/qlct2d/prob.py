@@ -87,6 +87,8 @@ class CharFn:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "lct" and self.spectrum.params is None:
             raise ValueError("lct mode requires transform parameters")
+        if self.mode == "fourier" and self.spectrum.params is not None:
+            raise ValueError("fourier mode takes no params (use mode lct)")
 
     def at(self, r: int, c: int) -> Quaternion:
         return self.spectrum.at(r, c)

@@ -1,5 +1,6 @@
 """Grids, sampling, quadrature, and discrete quaternion convolution."""
 
+import json
 import math
 
 import numpy as np
@@ -36,6 +37,17 @@ def test_gridspec_validation():
         GridSpec(-1.0, 1.0, -1.0, 1.0, 9, math.inf)
     spec = GridSpec(-1.0, 1.0, -1.0, 1.0, 9.0, np.int64(9))
     assert spec.x1_nodes()[-1] == 1.0 and spec.x2_nodes().size == 9
+
+
+def test_gridspec_stores_numpy_bounds_as_python_numbers():
+    spec = GridSpec(np.float32(-1.0), np.float64(1.0), -1, 1.0, 9, 9)
+    assert [type(v) for v in (spec.x1_min, spec.x1_max,
+                              spec.x2_min, spec.x2_max)] == [float, float,
+                                                             int, float]
+    # the header json keeps a Python int's bytes
+    assert json.dumps(spec.to_dict()) == (
+        '{"x1_min": -1.0, "x1_max": 1.0, "x2_min": -1, "x2_max": 1.0, '
+        '"n1": 9, "n2": 9}')
 
 
 def test_gridspec_rejects_nonfinite_bounds():

@@ -247,6 +247,27 @@ def test_numpy_and_float_counts_roundtrip(tmp_path, count, name):
     assert np.array_equal(g.values, f.values)
 
 
+@pytest.mark.parametrize("name", ["f.csv", "f.json"])
+def test_numpy_scalar_bounds_roundtrip(tmp_path, name):
+    spec = GridSpec(np.float32(-1.0), np.float64(1.0), -1, 1.0, 9, 9)
+    f = SampledField(spec, np.ones((9, 9, 4)))
+    path = str(tmp_path / name)
+    write_field(f, path)
+    g = read_field(path)
+    assert g.spec == spec and np.array_equal(g.values, f.values)
+
+
+@pytest.mark.parametrize("name", ["f.csv", "f.json"])
+def test_failed_write_leaves_no_file(tmp_path, name):
+    spec = GridSpec(-1.0, 1.0, -1.0, 1.0, 9, 9)
+    # a header value json cannot encode, planted past __post_init__
+    object.__setattr__(spec, "x1_min", np.float32(-1.0))
+    with pytest.raises(TypeError, match="float32"):
+        write_field(SampledField(spec, np.ones((9, 9, 4))),
+                    str(tmp_path / name))
+    assert list(tmp_path.iterdir()) == []
+
+
 # a record's field order decides the bytes of sidecars, headers and the
 # ledger, so each layout is pinned here, key order included
 @pytest.mark.parametrize("record, want", [

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qlct2d.field import GridSpec
 from qlct2d.lct import (LctParams, TransformParams, fourier_params,
                         inverse_params, kernel_i, kernel_j, kernel_matrix)
 from qlct2d.quaternion import Quaternion, exp_i, isclose, mul, norm
@@ -112,4 +113,71 @@ def test_fourier_params_entries():
     t = fourier_params()
     for p in (t.A1, t.A2):
         assert (p.a, p.b, p.c, p.d) == (0.0, 1.0, -1.0, 0.0)
+
+
+
+_KERNEL_CASES = {
+    "fourier": fourier_params().A1,
+    "rotation": LctParams(math.cos(0.6), math.sin(0.6),
+                          -math.sin(0.6), math.cos(0.6)),
+    "shear": LctParams(1.0, 0.5, 0.0, 1.0),
+}
+
+
+def _dense_kernel(p, x, u):
+    """The kernel formula with one exponential per entry."""
+    amp = 1.0 / math.sqrt(2.0 * math.pi * abs(p.b))
+    phase = ((p.a / (2.0 * p.b)) * x[:, None] ** 2 - np.outer(x, u) / p.b
+             + (p.d / (2.0 * p.b)) * u[None, :] ** 2 - math.pi / 4.0)
+    return amp * np.exp(1j * phase)
+
+
+def _longdouble_kernel(p, x, u):
+    """(real, imag) of the kernel with phase and amplitude in
+    np.longdouble, at the float64 nodes x and u."""
+    ld = np.longdouble
+    xl, ul, b = x.astype(ld), u.astype(ld), ld(p.b)
+    pi = np.arccos(ld(-1.0))
+    phase = (ld(p.a) / (2 * b) * xl[:, None] ** 2 - np.outer(xl, ul) / b
+             + ld(p.d) / (2 * b) * ul[None, :] ** 2 - pi / 4)
+    amp = 1 / np.sqrt(2 * pi * abs(b))
+    return amp * np.cos(phase), amp * np.sin(phase)
+
+
+@pytest.mark.parametrize("n", [2, 5, 257, 513])
+@pytest.mark.parametrize("name", sorted(_KERNEL_CASES))
+def test_kernel_matrix_matches_longdouble_phase(name, n):
+    # 257 is prime, so its last column block is a one-column remainder
+    p = _KERNEL_CASES[name]
+    amp = 1.0 / math.sqrt(2.0 * math.pi * abs(p.b))
+    x = GridSpec(-8.0, 8.0, -8.0, 8.0, n, n).x1_nodes()
+    u = GridSpec(-12.0, 12.0, -12.0, 12.0, n, n).x1_nodes()
+    k = kernel_matrix(p, x, u)
+    re, im = _longdouble_kernel(p, x, u)
+    assert np.max(np.hypot(k.real - re, k.imag - im)) <= 1e-13 * amp
+    assert k.shape == (n, n) and k.flags.c_contiguous
+
+
+@pytest.mark.parametrize("name", sorted(_KERNEL_CASES))
+def test_conjugate_kernel_is_bitwise_conj(name):
+    p = _KERNEL_CASES[name]
+    for nx, nu in ((5, 2), (33, 257), (65, 37)):
+        x = GridSpec(-8.0, 8.0, -8.0, 8.0, nx, nx).x1_nodes()
+        u = GridSpec(-12.0, 12.0, -12.0, 12.0, nu, nu).x1_nodes()
+        k = kernel_matrix(p, x, u)
+        kc = kernel_matrix(p, x, u, conjugate=True)
+        assert np.conj(k).tobytes() == kc.tobytes()
+        assert kc.shape == (nx, nu) and kc.flags.c_contiguous
+
+
+@pytest.mark.parametrize("name", sorted(_KERNEL_CASES))
+def test_kernel_matrix_on_non_uniform_nodes(name):
+    p = _KERNEL_CASES[name]
+    amp = 1.0 / math.sqrt(2.0 * math.pi * abs(p.b))
+    rng = np.random.default_rng(29)
+    x = np.sort(rng.uniform(-3.0, 3.0, 40))
+    u = np.sort(rng.uniform(-3.0, 3.0, 50))
+    k = kernel_matrix(p, x, u)
+    assert np.max(np.abs(k - _dense_kernel(p, x, u))) <= 1e-14 * amp
+    assert k.shape == (40, 50) and k.flags.c_contiguous
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qlct2d.field import GridSpec, SampledField
-from qlct2d.lct import fourier_params
+from qlct2d.lct import LctParams, TransformParams, fourier_params
 from qlct2d.prob import (CharFn, charfn, charfn_properties, covariance,
                          expectation, fd_moment, invert_charfn, validate_qpdf)
 from qlct2d.quaternion import Quaternion, isclose, mul
@@ -174,6 +174,18 @@ def test_charfn_fourier_mode_rejects_params():
     freq = GridSpec(-1.0, 1.0, -1.0, 1.0, 5, 5)
     with pytest.raises(ValueError, match="mode lct"):
         charfn(f, freq, params=fourier_params())
+
+
+def test_fourier_mode_charfn_rejects_a_spectrum_with_params():
+    # invert_charfn would read such a spectrum with the fourier kernels
+    # and silently ignore its transform parameters
+    f = gaussian_pdf(65)
+    freq = GridSpec(-4.0, 4.0, -4.0, 4.0, 33, 33)
+    s = forward(f, TransformParams(LctParams(1.0, 0.5, 0.0, 1.0),
+                                   LctParams(1.0, 0.5, 0.0, 1.0)), freq)
+    with pytest.raises(ValueError, match="mode lct"):
+        CharFn(s, "fourier")
+    assert CharFn(s, "lct").spectrum is s
 
 
 def test_charfn_properties_need_origin_node():
