@@ -6,6 +6,8 @@ quaternion components at every node; node (r, c) sits at
 trapezoid rule (Gregory weights) so that polynomial moments up to cubic
 per axis integrate exactly; interior weights stay uniform, which keeps
 discrete-delta convolution identities valid away from the boundary.
+The rule is a product of two 1-D rules, and every integral is reduced
+one axis at a time, with no n1 x n2 weight matrix.
 """
 
 from __future__ import annotations
@@ -162,10 +164,19 @@ def quad_weights_1d(n: int, h: float) -> np.ndarray:
     return w * h
 
 
-def _weights_2d(spec: GridSpec) -> np.ndarray:
-    w1 = quad_weights_1d(spec.n1, spec.h1)
-    w2 = quad_weights_1d(spec.n2, spec.h2)
-    return np.outer(w1, w2)
+def _axis_weights(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The 1-D quadrature weights of the grid's two axes."""
+    return (quad_weights_1d(spec.n1, spec.h1),
+            quad_weights_1d(spec.n2, spec.h2))
+
+
+def _quadrature(values: np.ndarray, w1: np.ndarray,
+                w2: np.ndarray) -> np.ndarray:
+    """Separable quadrature sum_rc w1[r] w2[c] values[r, c, ...], one
+    einsum per axis: no n1 x n2 weight matrix, and no BLAS product,
+    whose last digits would change with the BLAS thread count."""
+    rows = np.einsum("r,rc...->c...", w1, values)
+    return np.einsum("c,c...->...", w2, rows)
 
 
 def sample(f, spec: GridSpec) -> SampledField:
@@ -185,24 +196,20 @@ def sample(f, spec: GridSpec) -> SampledField:
 
 def integrate(f: SampledField) -> Quaternion:
     """Componentwise quadrature of f over its box."""
-    w = _weights_2d(f.spec)
-    comps = np.einsum("rc,rcl->l", w, f.values)
-    return Quaternion(*comps)
+    return Quaternion(*_quadrature(f.values, *_axis_weights(f.spec)))
 
 
 def l2_norm(f: SampledField) -> float:
     """L2 norm sqrt( integral |f|^2 )."""
-    w = _weights_2d(f.spec)
-    return float(np.sqrt(np.sum(w * np.sum(f.values ** 2, axis=-1))))
+    sq = np.sum(f.values ** 2, axis=-1)
+    return float(np.sqrt(_quadrature(sq, *_axis_weights(f.spec))))
 
 
 def inner_product(f: SampledField, g: SampledField) -> Quaternion:
     """<f, g> = integral f(x) g(x)* dx."""
     _require_same_spec(f, g)
     prod = qmul_values(f.values, qconj_values(g.values))
-    w = _weights_2d(f.spec)
-    comps = np.einsum("rc,rcl->l", w, prod)
-    return Quaternion(*comps)
+    return Quaternion(*_quadrature(prod, *_axis_weights(f.spec)))
 
 
 def qmul_values(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -244,32 +251,32 @@ def _fft_len(n: int) -> int:
         n += 1
 
 
-def _qconv_full(fv: np.ndarray, gv: np.ndarray) -> np.ndarray:
-    """Full linear quaternion convolution sum_s fv[s] * gv[t - s] of two
-    (n1, n2, 4) arrays: returns (2*n1-1, 2*n2-1, 4).
+def _qconv(fv: np.ndarray, gv: np.ndarray,
+           shift: tuple[int, int]) -> np.ndarray:
+    """Window out[r, c] = full[r + s1, c + s2] of the linear quaternion
+    convolution full[t] = sum_s fv[s] * gv[t - s] of two (n1, n2, 4)
+    arrays; zero where an index falls outside full's support [0, 2n - 1).
 
-    Zero-padded FFT on each axis (pad >= 2n-1, so linear, not circular).
+    Per axis, with the window clipped to the support as [lo, hi), a
+    circular convolution of length L >= max(hi, 2n - 1 - lo) wraps
+    nothing into it, so the FFT pads only to that bound, not to 2n - 1.
     The Hamilton product is bilinear with real coefficients, so it is
     folded once on the complex component spectra, keeping the factor
     order f * g (Ell & Sangwine, IEEE TIP 16(1), 2007).
     """
-    m1, m2 = 2 * fv.shape[0] - 1, 2 * fv.shape[1] - 1
-    shape = (_fft_len(m1), _fft_len(m2))
+    out = np.zeros(fv.shape)
+    src, dst, shape = [], [], []
+    for n, s in zip(fv.shape[:2], shift):
+        lo, hi = max(s, 0), min(s + n, 2 * n - 1)
+        if lo >= hi:
+            return out
+        src.append(slice(lo, hi))
+        dst.append(slice(lo - s, hi - s))
+        shape.append(_fft_len(max(hi, 2 * n - 1 - lo)))
     fs = np.fft.rfft2(fv, s=shape, axes=(0, 1))
     gs = np.fft.rfft2(gv, s=shape, axes=(0, 1))
-    full = np.fft.irfft2(qmul_values(fs, gs), s=shape, axes=(0, 1))
-    return full[:m1, :m2]
-
-
-def _shifted_crop(full: np.ndarray, s1: int, s2: int,
-                  n1: int, n2: int) -> np.ndarray:
-    """(n1, n2, 4) array out[r, c] = full[r + s1, c + s2], zero where
-    that index falls outside full."""
-    out = np.zeros((n1, n2, 4))
-    r_lo, c_lo = max(0, -s1), max(0, -s2)
-    r_hi = max(r_lo, min(n1, full.shape[0] - s1))
-    c_hi = max(c_lo, min(n2, full.shape[1] - s2))
-    out[r_lo:r_hi, c_lo:c_hi] = full[r_lo + s1:r_hi + s1, c_lo + s2:c_hi + s2]
+    circ = np.fft.irfft2(qmul_values(fs, gs), s=shape, axes=(0, 1))
+    out[tuple(dst)] = circ[tuple(src)]
     return out
 
 
@@ -277,14 +284,12 @@ def convolve(f: SampledField, g: SampledField) -> SampledField:
     """(f * g)(x) = integral f(y) g(x - y) dy on f's grid.
 
     g is taken as zero outside its box; the quaternion factor order
-    f(y) * g(x - y) is preserved.  Evaluated by zero-padded FFT.
+    f(y) * g(x - y) is preserved.  Evaluated by an FFT zero-padded only
+    as far as the n1 x n2 output window needs.
     """
     _require_same_spec(f, g)
-    spec = f.spec
-    o1, o2 = _origin_offset(spec)
-    fw = f.values * _weights_2d(spec)[..., None]
-    full = _qconv_full(fw, g.values)
-
+    o1, o2 = _origin_offset(f.spec)
+    fw = f.values * np.outer(*_axis_weights(f.spec))[..., None]
     # full discrete convolution index t = r' + s; output index r maps to
     # t = r - o per axis (coordinates: x - y = (r - r')h, g node s = r-r'-o).
-    return SampledField(spec, _shifted_crop(full, -o1, -o2, spec.n1, spec.n2))
+    return SampledField(f.spec, _qconv(fw, g.values, (-o1, -o2)))

@@ -49,6 +49,10 @@ class LctParams:
 
     def __post_init__(self):
         for name, v in self.to_dict().items():
+            # a numpy scalar is stored as the Python number json encodes
+            if isinstance(v, np.generic):
+                v = v.item()
+                object.__setattr__(self, name, v)
             if not math.isfinite(v):
                 raise ValueError(f"non-finite entry {name} = {v!r}")
         det = self.a * self.d - self.b * self.c
@@ -121,6 +125,8 @@ def kernel_matrix(p: LctParams, x: np.ndarray, u: np.ndarray,
     unit = -1j if conjugate else 1j
     amp = 1.0 / math.sqrt(2.0 * math.pi * abs(p.b))
     n = len(u)
+    if n == 0:
+        return np.empty((len(x), 0), dtype=complex)
     h = (u[-1] - u[0]) / max(n - 1, 1)
     tol = 8.0 * np.finfo(float).eps * np.max(np.abs(u))
     uniform = np.all(np.abs(u - (u[0] + h * np.arange(n))) <= tol)

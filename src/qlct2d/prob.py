@@ -19,7 +19,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .field import (GridSpec, SampledField, integrate, qnorm_values,
-                    quad_weights_1d, _weights_2d)
+                    _axis_weights, _quadrature)
 from .lct import TransformParams
 from .quaternion import I, J, Quaternion, inverse, mul
 from .transform import Spectrum, forward, inverse as lct_inverse, _sandwich
@@ -103,8 +103,8 @@ def validate_qpdf(f: SampledField) -> QpdfReport:
     integral is recorded, not constrained.  Violations are data, not
     exceptions.
     """
-    w = _weights_2d(f.spec)
-    integrals = tuple(float(np.sum(w * f.values[..., l])) for l in range(4))
+    w1, w2 = _axis_weights(f.spec)
+    integrals = tuple(map(float, _quadrature(f.values, w1, w2)))
     minima = tuple(float(np.min(f.values[..., l])) for l in range(4))
     total = Quaternion(*integrals)
 
@@ -143,11 +143,9 @@ def expectation(f: SampledField, weight) -> Quaternion:
     componentwise quadrature of w(x) f(x).
     """
     m, n = _weight_powers(weight)
-    x1 = f.spec.x1_nodes() ** m
-    x2 = f.spec.x2_nodes() ** n
-    w = _weights_2d(f.spec) * np.outer(x1, x2)
-    comps = np.einsum("rc,rcl->l", w, f.values)
-    return Quaternion(*comps)
+    w1, w2 = _axis_weights(f.spec)
+    return Quaternion(*_quadrature(f.values, w1 * f.spec.x1_nodes() ** m,
+                                   w2 * f.spec.x2_nodes() ** n))
 
 
 def charfn(f: SampledField, freq: GridSpec, mode: str = "fourier",
@@ -169,19 +167,16 @@ def charfn(f: SampledField, freq: GridSpec, mode: str = "fourier",
         raise ValueError("fourier mode takes no params (use mode lct)")
     x1, x2 = f.spec.x1_nodes(), f.spec.x2_nodes()
     u, v = freq.x1_nodes(), freq.x2_nodes()
-    w1 = quad_weights_1d(f.spec.n1, f.spec.h1)
-    w2 = quad_weights_1d(f.spec.n2, f.spec.h2)
+    w1, w2 = _axis_weights(f.spec)
     kl = np.exp(1j * np.outer(u, x1)) * w1[None, :]
     kr = np.exp(1j * np.outer(x2, v)) * w2[:, None]
     return CharFn(Spectrum(freq, _sandwich(f.values, kl, kr), None), "fourier")
 
 
-def _abs_integral(f: SampledField, extra: np.ndarray | None = None) -> float:
-    w = _weights_2d(f.spec)
-    mod = qnorm_values(f.values)
-    if extra is not None:
-        mod = mod * extra
-    return float(np.sum(w * mod))
+def _abs_integral(f: SampledField, x1_factor=1.0) -> float:
+    """integral x1_factor(x1) |f(x)| dx, x1_factor given per axis-1 node."""
+    w1, w2 = _axis_weights(f.spec)
+    return float(_quadrature(qnorm_values(f.values), w1 * x1_factor, w2))
 
 
 def _origin_index(spec: GridSpec) -> tuple[int, int]:
@@ -233,7 +228,7 @@ def charfn_properties(cf: CharFn, f: SampledField) -> dict:
                   for l, s in enumerate(signs))
         report["parity_max_error"] = err
 
-    c_bound = _abs_integral(f, np.abs(f.spec.x1_nodes())[:, None])
+    c_bound = _abs_integral(f, np.abs(f.spec.x1_nodes()))
     step = float(np.max(qnorm_values(np.diff(vals, axis=0))))
     report["continuity_max_step"] = step
     report["continuity_bound"] = c_bound * spec.h1
@@ -253,8 +248,7 @@ def invert_charfn(cf: CharFn, space: GridSpec) -> SampledField:
     spec = cf.spectrum.spec
     u, v = spec.x1_nodes(), spec.x2_nodes()
     x1, x2 = space.x1_nodes(), space.x2_nodes()
-    wu = quad_weights_1d(spec.n1, spec.h1)
-    wv = quad_weights_1d(spec.n2, spec.h2)
+    wu, wv = _axis_weights(spec)
     kl = np.exp(-1j * np.outer(x1, u)) * wu[None, :]
     kr = np.exp(-1j * np.outer(v, x2)) * wv[:, None]
     scale = 1.0 / (2.0 * math.pi) ** 2

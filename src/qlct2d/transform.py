@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import (GridSpec, SampledField, _origin_offset, _qconv_full,
-                    _require_same_spec, _shifted_crop, _weights_2d, convolve,
-                    l2_norm, qconj_values, qmul_values, quad_weights_1d)
+from .field import (GridSpec, SampledField, _axis_weights, _origin_offset,
+                    _qconv, _require_same_spec, convolve, l2_norm,
+                    qconj_values, qmul_values)
 from .lct import TransformParams, kernel_matrix
 
 __all__ = [
@@ -67,8 +67,7 @@ def forward(f: SampledField, params: TransformParams,
     """Forward transform of f onto the given frequency grid."""
     x1, x2 = f.spec.x1_nodes(), f.spec.x2_nodes()
     u1, u2 = freq.x1_nodes(), freq.x2_nodes()
-    w1 = quad_weights_1d(f.spec.n1, f.spec.h1)
-    w2 = quad_weights_1d(f.spec.n2, f.spec.h2)
+    w1, w2 = _axis_weights(f.spec)
     kl = kernel_matrix(params.A1, x1, u1).T * w1[None, :]
     kr = kernel_matrix(params.A2, x2, u2) * w2[:, None]
     return Spectrum(freq, _sandwich(f.values, kl, kr), params)
@@ -85,8 +84,7 @@ def inverse(s: Spectrum, space: GridSpec) -> SampledField:
         raise ValueError("spectrum carries no transform parameters")
     u1, u2 = s.spec.x1_nodes(), s.spec.x2_nodes()
     x1, x2 = space.x1_nodes(), space.x2_nodes()
-    wu1 = quad_weights_1d(s.spec.n1, s.spec.h1)
-    wu2 = quad_weights_1d(s.spec.n2, s.spec.h2)
+    wu1, wu2 = _axis_weights(s.spec)
     kl = kernel_matrix(s.params.A1, x1, u1, conjugate=True) * wu1[None, :]
     kr = kernel_matrix(s.params.A2, x2, u2, conjugate=True).T * wu2[:, None]
     return SampledField(space, _sandwich(s.values, kl, kr))
@@ -95,31 +93,27 @@ def inverse(s: Spectrum, space: GridSpec) -> SampledField:
 def parseval_ratio(f: SampledField, params: TransformParams,
                    freq: GridSpec) -> float:
     """Measured (spectrum energy) / (field energy); no constant asserted."""
-    w = _weights_2d(f.spec)
-    e_field = float(np.sum(w * np.sum(f.values ** 2, axis=-1)))
-    if e_field == 0.0:
+    norm = l2_norm(f)
+    if norm == 0.0:
         raise ValueError("parseval_ratio requires a nonzero field")
-    s = forward(f, params, freq)
-    return l2_norm(s) ** 2 / e_field
+    return (l2_norm(forward(f, params, freq)) / norm) ** 2
 
 
 def correlate(f: SampledField, g: SampledField) -> SampledField:
     """(f o g)(x) = integral f(x + y) conj(g(y)) dy on the shared grid.
 
     Factor order f(x+y) * conj(g(y)) is preserved; g is zero outside
-    its box.  Evaluated by zero-padded FFT.
+    its box.  Evaluated by FFT, zero-padded only as the output window needs.
     """
     _require_same_spec(f, g)
     spec = f.spec
     o1, o2 = _origin_offset(spec)
-    n1, n2 = spec.n1, spec.n2
-    gw = qconj_values(g.values) * _weights_2d(spec)[..., None]
+    gw = qconj_values(g.values) * np.outer(*_axis_weights(spec))[..., None]
 
     # C[r] = sum_{r'} f[r + r' + o] gw[r'], equal to the full convolution
     # of f with gw flipped on both axes, sampled at (r + o) + (n - 1).
-    full = _qconv_full(f.values, gw[::-1, ::-1])
-    return SampledField(
-        spec, _shifted_crop(full, o1 + n1 - 1, o2 + n2 - 1, n1, n2))
+    shift = (o1 + spec.n1 - 1, o2 + spec.n2 - 1)
+    return SampledField(spec, _qconv(f.values, gw[::-1, ::-1], shift))
 
 
 def phase_strip(s: Spectrum) -> Spectrum:

@@ -76,6 +76,11 @@ _EDGE_CASES = [
     GridSpec(-1.0, 2.5, -0.5, 1.0, 8, 4),     # origin off-centre
     GridSpec(0.5, 2.5, 0.5, 3.0, 5, 6),       # origin just outside (x_min = h)
     GridSpec(-9.0, -6.0, 4.0, 6.0, 7, 5),     # origin far outside both axes
+    # the FFT length bound max(hi, 2n - 1 - lo) is tight: n = 7 with
+    # o = -3 gives L = 10 exactly on both axes; o = -2 gives a bound of
+    # 11 on axis 1, where L = 10 would wrap full[12] into convolve's window
+    GridSpec(-1.5, 1.5, -0.75, 0.75, 7, 7),   # origin centred, L = 10
+    GridSpec(-1.0, 2.0, -0.5, 1.5, 7, 5),     # origin off-centre, bound 11
 ]
 
 
@@ -85,6 +90,8 @@ _EDGE_CASES = [
 @example((_EDGE_CASES[1], 2))
 @example((_EDGE_CASES[2], 3))
 @example((_EDGE_CASES[3], 4))
+@example((_EDGE_CASES[4], 9))
+@example((_EDGE_CASES[5], 10))
 def test_convolve_matches_direct_sum(case):
     f, g = _operands(*case)
     _assert_matches(convolve(f, g).values, _direct(f, g, correlation=False))
@@ -96,6 +103,8 @@ def test_convolve_matches_direct_sum(case):
 @example((_EDGE_CASES[1], 6))
 @example((_EDGE_CASES[2], 7))
 @example((_EDGE_CASES[3], 8))
+@example((_EDGE_CASES[4], 11))
+@example((_EDGE_CASES[5], 12))
 def test_correlate_matches_direct_sum(case):
     f, g = _operands(*case)
     _assert_matches(correlate(f, g).values, _direct(f, g, correlation=True))

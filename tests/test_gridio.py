@@ -257,6 +257,21 @@ def test_numpy_scalar_bounds_roundtrip(tmp_path, name):
     assert g.spec == spec and np.array_equal(g.values, f.values)
 
 
+@pytest.mark.parametrize("name", ["s.csv", "s.json"])
+def test_numpy_scalar_params_roundtrip(tmp_path, name):
+    params = TransformParams(LctParams(np.float32(1.0), 0.5, 0.0, 1.0),
+                             LctParams(np.float64(0.0), np.float64(1.0),
+                                       -1.0, np.float32(0.0)))
+    s = Spectrum(_spectrum().spec, _spectrum().values, params)
+    path = str(tmp_path / name)
+    write_spectrum(s, path)
+    t = read_spectrum(path)
+    assert t.params == params and np.array_equal(t.values, s.values)
+    assert all(type(v) is float
+               for p in (t.params.A1, t.params.A2, params.A1, params.A2)
+               for v in p.to_dict().values())
+
+
 @pytest.mark.parametrize("name", ["f.csv", "f.json"])
 def test_failed_write_leaves_no_file(tmp_path, name):
     spec = GridSpec(-1.0, 1.0, -1.0, 1.0, 9, 9)

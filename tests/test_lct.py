@@ -109,6 +109,14 @@ def test_kernel_matrix_matches_scalar_kernel():
     assert np.allclose(conj_m, np.conj(m))
 
 
+def test_kernel_matrix_with_no_nodes():
+    p = LctParams(1.0, 0.5, 0.0, 1.0)
+    nodes = np.linspace(-1.0, 1.0, 5)
+    for x, u in ((nodes, np.zeros(0)), (np.zeros(0), nodes)):
+        k = kernel_matrix(p, x, u)
+        assert k.shape == (len(x), len(u)) and k.dtype == complex
+
+
 def test_fourier_params_entries():
     t = fourier_params()
     for p in (t.A1, t.A2):

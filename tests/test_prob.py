@@ -4,7 +4,8 @@ moments, covariance."""
 import numpy as np
 import pytest
 
-from qlct2d.field import GridSpec, SampledField
+from qlct2d.field import (GridSpec, SampledField, inner_product, integrate,
+                          l2_norm, qconj_values, qmul_values, quad_weights_1d)
 from qlct2d.lct import LctParams, TransformParams, fourier_params
 from qlct2d.prob import (CharFn, charfn, charfn_properties, covariance,
                          expectation, fd_moment, invert_charfn, validate_qpdf)
@@ -76,6 +77,34 @@ def test_expectation_named_and_tuple_weights():
         expectation(u, "x3")
     with pytest.raises(ValueError):
         expectation(u, (-1, 0))
+
+
+def test_separable_quadrature_matches_dense_weight_matrix():
+    # a non-square grid off the origin; positive samples and nodes keep
+    # every integral free of cancellation, so the bound is relative
+    spec = GridSpec(0.25, 2.0, 0.5, 3.5, 23, 31)
+    rng = np.random.default_rng(12)
+    f, g = (SampledField(spec, rng.uniform(0.5, 1.5, (23, 31, 4)))
+            for _ in range(2))
+    w1 = quad_weights_1d(spec.n1, spec.h1)
+    w2 = quad_weights_1d(spec.n2, spec.h2)
+
+    def dense(values, m=0, n=0):
+        w = np.outer(w1 * spec.x1_nodes() ** m, w2 * spec.x2_nodes() ** n)
+        return np.sum(w[..., None] * values, axis=(0, 1))
+
+    def close(got, want):
+        got, want = np.ravel(got), np.ravel(want)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    close(integrate(f).components(), dense(f.values))
+    powers = {"x1": (1, 0), "x2": (0, 1), "x1x2": (1, 1), "x1^2": (2, 0),
+              "x2^2": (0, 2), (3, 2): (3, 2)}
+    for weight, (m, n) in powers.items():
+        close(expectation(f, weight).components(), dense(f.values, m, n))
+    close(l2_norm(f) ** 2, dense(np.sum(f.values ** 2, axis=-1)[..., None]))
+    close(inner_product(f, g).components(),
+          dense(qmul_values(f.values, qconj_values(g.values))))
 
 
 def test_charfn_origin_equals_mass():
