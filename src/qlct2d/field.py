@@ -230,12 +230,12 @@ def qnorm_values(q: np.ndarray) -> np.ndarray:
 
 
 def _origin_offset(spec: GridSpec) -> tuple[int, int]:
-    """Index offsets o with x_min = o*h; convolution needs them integral."""
+    """Index offsets o with x_min = o*h, which must be integral."""
     o1 = spec.x1_min / spec.h1
     o2 = spec.x2_min / spec.h2
     if abs(o1 - round(o1)) > 1e-9 or abs(o2 - round(o2)) > 1e-9:
-        raise ValueError("convolution requires the grid to align with the "
-                         "coordinate origin (x_min must be a multiple of h)")
+        raise ValueError("the grid must align with the coordinate origin "
+                         "(x_min must be a multiple of h)")
     return int(round(o1)), int(round(o2))
 
 

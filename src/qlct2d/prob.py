@@ -8,20 +8,22 @@ integral
     phi(u, v) = integral e^{i u x1} f(x1, x2) e^{j v x2} dx1 dx2
 
 in fourier mode (no amplitude factor, positive exponents), or the
-kernel sandwich of the linear canonical transform in lct mode.
+kernel sandwich of the linear canonical transform in lct mode; the
+spectrum's transform parameters, or their absence, fix the mode.
+Moments are quadratures of the density or finite differences of phi.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 
 import numpy as np
 
 from .field import (GridSpec, SampledField, integrate, qnorm_values,
-                    _axis_weights, _quadrature)
+                    _axis_weights, _origin_offset, _quadrature)
 from .lct import TransformParams
-from .quaternion import I, J, Quaternion, inverse, mul
+from .quaternion import I, J, ONE, Quaternion, mul
 from .transform import Spectrum, forward, inverse as lct_inverse, _sandwich
 
 __all__ = [
@@ -42,6 +44,17 @@ _MASS_TOL = 1e-6
 _NEG_TOL = 1e-12
 
 
+def _report_dict(report) -> dict:
+    """A report's fields in declaration order, as JSON-ready values."""
+    def plain(v):
+        if isinstance(v, Quaternion):
+            return list(v.components())
+        if isinstance(v, dict):
+            return dict(v)
+        return list(v) if isinstance(v, tuple) else v
+    return {f.name: plain(getattr(report, f.name)) for f in fields(report)}
+
+
 @dataclass(frozen=True)
 class QpdfReport:
     """Validation outcome for a candidate quaternion density.
@@ -59,36 +72,21 @@ class QpdfReport:
     total_integral: Quaternion
     violations: tuple[str, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "strict_ok": self.strict_ok,
-            "relaxed_ok": self.relaxed_ok,
-            "component_integrals": list(self.component_integrals),
-            "component_minima": list(self.component_minima),
-            "total_integral": list(self.total_integral.components()),
-            "violations": list(self.violations),
-        }
+    to_dict = _report_dict
 
 
 @dataclass(frozen=True)
 class CharFn:
-    """Sampled characteristic function with its kernel convention.
-
-    mode "fourier" means the unnormalized kernels e^{iux1}, e^{jvx2};
-    mode "lct" means the canonical-transform kernels, whose parameters
-    travel inside the spectrum.
+    """Sampled characteristic function.  mode is "lct" (the canonical
+    transform's kernels) when the spectrum carries transform parameters,
+    and "fourier" (the unnormalized kernels e^{iux1}, e^{jvx2}) when not.
     """
 
     spectrum: Spectrum
-    mode: str
 
-    def __post_init__(self):
-        if self.mode not in ("fourier", "lct"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "lct" and self.spectrum.params is None:
-            raise ValueError("lct mode requires transform parameters")
-        if self.mode == "fourier" and self.spectrum.params is not None:
-            raise ValueError("fourier mode takes no params (use mode lct)")
+    @property
+    def mode(self) -> str:
+        return "fourier" if self.spectrum.params is None else "lct"
 
     def at(self, r: int, c: int) -> Quaternion:
         return self.spectrum.at(r, c)
@@ -130,6 +128,9 @@ def _weight_powers(weight) -> tuple[int, int]:
             raise ValueError(f"unknown weight {weight!r}")
         return named[weight]
     m, n = weight
+    # m % 1 is nonzero, or NaN, for a fractional or non-finite power
+    if m % 1 or n % 1:
+        raise ValueError(f"weight powers must be integers, not {weight!r}")
     if m < 0 or n < 0:
         raise ValueError("weight powers must be nonnegative")
     return int(m), int(n)
@@ -160,7 +161,7 @@ def charfn(f: SampledField, freq: GridSpec, mode: str = "fourier",
     if mode == "lct":
         if params is None:
             raise ValueError("lct mode requires transform parameters")
-        return CharFn(forward(f, params, freq), "lct")
+        return CharFn(forward(f, params, freq))
     if mode != "fourier":
         raise ValueError(f"unknown mode {mode!r}")
     if params is not None:
@@ -170,23 +171,13 @@ def charfn(f: SampledField, freq: GridSpec, mode: str = "fourier",
     w1, w2 = _axis_weights(f.spec)
     kl = np.exp(1j * np.outer(u, x1)) * w1[None, :]
     kr = np.exp(1j * np.outer(x2, v)) * w2[:, None]
-    return CharFn(Spectrum(freq, _sandwich(f.values, kl, kr), None), "fourier")
+    return CharFn(Spectrum(freq, _sandwich(f.values, kl, kr)))
 
 
 def _abs_integral(f: SampledField, x1_factor=1.0) -> float:
     """integral x1_factor(x1) |f(x)| dx, x1_factor given per axis-1 node."""
     w1, w2 = _axis_weights(f.spec)
     return float(_quadrature(qnorm_values(f.values), w1 * x1_factor, w2))
-
-
-def _origin_index(spec: GridSpec) -> tuple[int, int]:
-    r = int(round(-spec.x1_min / spec.h1))
-    c = int(round(-spec.x2_min / spec.h2))
-    if (abs(spec.x1_min + r * spec.h1) > 1e-9 * max(1.0, spec.h1)
-            or abs(spec.x2_min + c * spec.h2) > 1e-9 * max(1.0, spec.h2)
-            or not (0 <= r < spec.n1) or not (0 <= c < spec.n2)):
-        raise ValueError("frequency grid has no node at the origin")
-    return r, c
 
 
 def charfn_properties(cf: CharFn, f: SampledField) -> dict:
@@ -203,7 +194,9 @@ def charfn_properties(cf: CharFn, f: SampledField) -> dict:
     report: dict = {"mode": cf.mode}
 
     total = integrate(f)
-    r0, c0 = _origin_index(spec)
+    r0, c0 = (-o for o in _origin_offset(spec))
+    if not (0 <= r0 < spec.n1 and 0 <= c0 < spec.n2):
+        raise ValueError("frequency grid has no node at the origin")
     phi0 = Quaternion(*vals[r0, c0])
     report["phi_origin"] = list(phi0.components())
     report["density_integral"] = list(total.components())
@@ -259,41 +252,23 @@ def fd_moment(f: SampledField, m: int, n: int, h: float = 1e-3) -> Quaternion:
     """Moment E[X1^m X2^n] from finite differences of the fourier-mode
     characteristic function at the origin.
 
-    Central differences on a 3x3 stencil of spacing h give the raw
-    derivative; the kernel sides contribute i^m on the left and j^n on
-    the right, so the moment is i^{-m} (FD) j^{-n}.  Limited to
-    m + n <= 2; h below 1e-5 is rejected to avoid cancellation.
+    The central difference (FD) of order m in u and n in v is one
+    separable weighted sum of phi on a 3x3 stencil of spacing h.  The
+    kernel sides contribute i^m on the left and j^n on the right, so the
+    moment is (-i)^m (FD) (-j)^n.  Limited to m + n <= 2; h below 1e-5
+    is rejected to avoid cancellation.
     """
     if m < 0 or n < 0 or m + n > 2:
         raise ValueError("fd_moment supports orders with m + n <= 2")
+    m, n = _weight_powers((m, n))  # integral orders, as table indices
     if h < 1e-5:
         raise ValueError("h below 1e-5 loses the moment to cancellation")
-    stencil = GridSpec(-h, h, -h, h, 3, 3)
-    phi = charfn(f, stencil, mode="fourier").spectrum.values
-
-    def q(r, c):
-        return Quaternion(*phi[r, c])
-
-    if (m, n) == (0, 0):
-        return q(1, 1)
-    if (m, n) == (1, 0):
-        fd = (q(2, 1) - q(0, 1)) / (2.0 * h)
-    elif (m, n) == (0, 1):
-        fd = (q(1, 2) - q(1, 0)) / (2.0 * h)
-    elif (m, n) == (1, 1):
-        fd = (q(2, 2) - q(2, 0) - q(0, 2) + q(0, 0)) / (4.0 * h * h)
-    elif (m, n) == (2, 0):
-        fd = (q(2, 1) - 2.0 * q(1, 1) + q(0, 1)) / (h * h)
-    else:
-        fd = (q(1, 2) - 2.0 * q(1, 1) + q(1, 0)) / (h * h)
-
-    left = Quaternion(1.0)
-    for _ in range(m):
-        left = mul(left, inverse(I))
-    right = Quaternion(1.0)
-    for _ in range(n):
-        right = mul(right, inverse(J))
-    return mul(mul(left, fd), right)
+    phi = charfn(f, GridSpec(-h, h, -h, h, 3, 3)).spectrum.values
+    # row k: the 1-D central difference of order k on nodes -h, 0, h
+    d = np.array([[0.0, 1.0, 0.0], [-0.5 / h, 0.0, 0.5 / h],
+                  [1.0 / h ** 2, -2.0 / h ** 2, 1.0 / h ** 2]])
+    fd = Quaternion(*_quadrature(phi, d[m], d[n]))
+    return mul(mul((ONE, -I, -ONE)[m], fd), (ONE, -J, -ONE)[n])
 
 
 @dataclass(frozen=True)
@@ -315,12 +290,7 @@ class MomentReport:
     cov_21: Quaternion
     resolution: dict = dc_field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        d = {k: list(getattr(self, k).components())
-             for k in ("e_x1", "e_x2", "e_x1x2", "e_x1sq", "e_x2sq",
-                       "var_x1", "var_x2", "cov_12", "cov_21")}
-        d["resolution"] = dict(self.resolution)
-        return d
+    to_dict = _report_dict
 
 
 def covariance(f: SampledField) -> MomentReport:

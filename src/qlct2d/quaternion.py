@@ -8,6 +8,7 @@ is tolerance-based (see :func:`isclose`), never exact.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 __all__ = [
@@ -71,7 +72,7 @@ class Quaternion:
         return mul(_coerce(other), self)
 
     def __truediv__(self, other):
-        if isinstance(other, (int, float)):
+        if isinstance(other, numbers.Real):
             return Quaternion(self.q0 / other, self.q1 / other,
                               self.q2 / other, self.q3 / other)
         return mul(self, inverse(_coerce(other)))
@@ -96,7 +97,7 @@ class Quaternion:
 def _coerce(x) -> Quaternion:
     if isinstance(x, Quaternion):
         return x
-    if isinstance(x, (int, float)):
+    if isinstance(x, numbers.Real):  # numpy scalars included
         return Quaternion(float(x))
     raise TypeError(f"cannot interpret {type(x).__name__} as a quaternion")
 

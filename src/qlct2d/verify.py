@@ -274,12 +274,13 @@ def run_verify(quick: bool = False, tol: float | None = None) -> list[Claim]:
     """Run every check and return the ledger claims in a fixed order.
 
     quick lowers the grid resolutions for fast smoke runs.  tol, when
-    given, replaces the default pass threshold of every required check.
+    given, tightens every required check: each pass threshold becomes
+    the smaller of tol and its default, so tol never loosens the ledger.
     """
     ns = _RESOLUTIONS["quick" if quick else "full"]
 
     def th(default: float) -> float:
-        return tol if tol is not None else default
+        return default if tol is None else min(tol, default)
 
     claims: list[Claim] = []
     four = fourier_params()

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from qlct2d import verify
 from qlct2d.cli import main
 from qlct2d.field import GridSpec, SampledField
 from qlct2d.gridio import read_field, read_spectrum, write_field, write_spectrum
@@ -132,6 +133,34 @@ def test_verify_quick_is_deterministic(tmp_path, capsys):
 
 def test_verify_impossible_tolerance_exits_4(tmp_path):
     assert main(["verify", "--quick", "--tol", "1e-30"]) == 4
+
+
+def test_verify_loose_tolerance_changes_nothing(tmp_path, capsys):
+    # --tol only tightens: a loose value judges every claim at its
+    # default threshold, so the ledger is the default one, byte for byte
+    out = str(tmp_path / "default.json")
+    loose = str(tmp_path / "loose.json")
+    assert main(["verify", "--quick", "--out", out]) == 0
+    assert main(["verify", "--quick", "--tol", "1e9", "--out", loose]) == 0
+    capsys.readouterr()
+    with open(out, "rb") as fa, open(loose, "rb") as fb:
+        assert fa.read() == fb.read()
+
+
+def test_verify_loose_tolerance_cannot_pass_a_failing_claim(
+        tmp_path, monkeypatch, capsys):
+    # fd(1,1) off by 1e-3 fails property6's default threshold of 1e-4;
+    # a loose --tol must leave that claim failed, and the run exiting 4
+    fd_moment = verify.fd_moment
+    monkeypatch.setattr(verify, "fd_moment", lambda f, m, n, h: (
+        fd_moment(f, m, n, h) + (1e-3 if (m, n) == (1, 1) else 0.0)))
+    out = str(tmp_path / "ledger.json")
+    assert main(["verify", "--quick", "--tol", "1e9", "--out", out]) == 4
+    capsys.readouterr()
+    with open(out) as fh:
+        claims = json.load(fh)["claims"]
+    assert [c["claim_id"] for c in claims if not c["passed"]] == [
+        "property6.fd_moments"]
 
 
 def test_empty_input_exits_2(tmp_path):

@@ -12,6 +12,8 @@ from qlct2d.field import GridSpec, SampledField
 from qlct2d.gridio import (ParseError, read_field, read_spectrum, write_field,
                            write_spectrum)
 from qlct2d.lct import LctParams, TransformParams
+from qlct2d.prob import MomentReport, QpdfReport
+from qlct2d.quaternion import Quaternion
 from qlct2d.transform import Spectrum
 from qlct2d.verify import Claim
 
@@ -283,8 +285,9 @@ def test_failed_write_leaves_no_file(tmp_path, name):
     assert list(tmp_path.iterdir()) == []
 
 
-# a record's field order decides the bytes of sidecars, headers and the
-# ledger, so each layout is pinned here, key order included
+# a record's field order decides the bytes of sidecars, headers, the
+# ledger and the moment and density reports, so each layout is pinned
+# here, key order included
 @pytest.mark.parametrize("record, want", [
     (GridSpec(-1.0, 1.0, 0.0, 2.0, 5, 7),
      {"x1_min": -1.0, "x1_max": 1.0, "x2_min": 0.0, "x2_max": 2.0,
@@ -297,6 +300,21 @@ def test_failed_write_leaves_no_file(tmp_path, name):
      {"claim_id": "x.y", "stated": "1", "measured": "1.0",
       "verdict": "reproduced", "required": True, "passed": False,
       "detail": "note"}),
+    (MomentReport(*(Quaternion(k, 0.0, 0.5, -1.0) for k in range(9)),
+                  resolution={"n1": 3}),
+     {"e_x1": [0.0, 0.0, 0.5, -1.0], "e_x2": [1.0, 0.0, 0.5, -1.0],
+      "e_x1x2": [2.0, 0.0, 0.5, -1.0], "e_x1sq": [3.0, 0.0, 0.5, -1.0],
+      "e_x2sq": [4.0, 0.0, 0.5, -1.0], "var_x1": [5.0, 0.0, 0.5, -1.0],
+      "var_x2": [6.0, 0.0, 0.5, -1.0], "cov_12": [7.0, 0.0, 0.5, -1.0],
+      "cov_21": [8.0, 0.0, 0.5, -1.0], "resolution": {"n1": 3}}),
+    (QpdfReport(False, True, (1.0, 0.5, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0),
+                Quaternion(1.0, 0.5),
+                ("component b integrates to 0.5, not 1",)),
+     {"strict_ok": False, "relaxed_ok": True,
+      "component_integrals": [1.0, 0.5, 0.0, 0.0],
+      "component_minima": [0.0, 0.0, 0.0, 0.0],
+      "total_integral": [1.0, 0.5, 0.0, 0.0],
+      "violations": ["component b integrates to 0.5, not 1"]}),
 ])
 def test_record_layouts(record, want):
     assert json.dumps(record.to_dict()) == json.dumps(want)

@@ -10,7 +10,7 @@ from qlct2d.lct import LctParams, TransformParams, fourier_params
 from qlct2d.prob import (CharFn, charfn, charfn_properties, covariance,
                          expectation, fd_moment, invert_charfn, validate_qpdf)
 from qlct2d.quaternion import Quaternion, isclose, mul
-from qlct2d.transform import forward
+from qlct2d.transform import forward, inverse as lct_inverse
 from qlct2d.verify import (anticorrelated_pdf, correlated_pdf,
                            example1_numerator, example2_density, gaussian_pdf,
                            uniform_pdf)
@@ -77,6 +77,12 @@ def test_expectation_named_and_tuple_weights():
         expectation(u, "x3")
     with pytest.raises(ValueError):
         expectation(u, (-1, 0))
+    # a fractional power is refused, not truncated to the one below it
+    for bad in ((0.5, 0), (1.9, 0), (0, 1.5), (float("nan"), 0)):
+        with pytest.raises(ValueError, match="integers"):
+            expectation(u, bad)
+    for two in (np.int64(2), 2.0):
+        assert expectation(u, (two, 0)) == expectation(u, "x1^2")
 
 
 def test_separable_quadrature_matches_dense_weight_matrix():
@@ -189,13 +195,15 @@ def test_charfn_lct_mode_is_forward_transform():
 
 
 def test_charfn_mode_validation():
+    # the mode is read from the spectrum, so it cannot disagree with it
     f = uniform_pdf(65)
     freq = GridSpec(-1.0, 1.0, -1.0, 1.0, 5, 5)
     s = charfn(f, freq).spectrum
-    with pytest.raises(ValueError):
-        CharFn(s, "banana")
-    with pytest.raises(ValueError):
-        CharFn(s, "lct")  # no params on a fourier-built spectrum
+    assert s.params is None and CharFn(s).mode == "fourier"
+    lct = forward(f, fourier_params(), freq)
+    assert CharFn(lct).mode == "lct"
+    with pytest.raises(TypeError):
+        CharFn(s, "lct")
 
 
 def test_charfn_fourier_mode_rejects_params():
@@ -206,15 +214,16 @@ def test_charfn_fourier_mode_rejects_params():
 
 
 def test_fourier_mode_charfn_rejects_a_spectrum_with_params():
-    # invert_charfn would read such a spectrum with the fourier kernels
-    # and silently ignore its transform parameters
+    # invert_charfn never reads a spectrum with transform parameters
+    # through the fourier kernels: it inverts with the spectrum's own
     f = gaussian_pdf(65)
     freq = GridSpec(-4.0, 4.0, -4.0, 4.0, 33, 33)
     s = forward(f, TransformParams(LctParams(1.0, 0.5, 0.0, 1.0),
                                    LctParams(1.0, 0.5, 0.0, 1.0)), freq)
-    with pytest.raises(ValueError, match="mode lct"):
-        CharFn(s, "fourier")
-    assert CharFn(s, "lct").spectrum is s
+    cf = CharFn(s)
+    assert cf.mode == "lct" and cf.spectrum is s
+    assert np.array_equal(invert_charfn(cf, f.spec).values,
+                          lct_inverse(s, f.spec).values)
 
 
 def test_charfn_properties_need_origin_node():
@@ -268,6 +277,17 @@ def test_fd_moment_uniform():
                    rel_tol=0.0, abs_tol=1e-4)
     assert isclose(fd_moment(u, 2, 0), Quaternion(1.0 / 3.0),
                    rel_tol=0.0, abs_tol=1e-3)
+    assert isclose(fd_moment(u, 0, 2), Quaternion(1.0 / 3.0),
+                   rel_tol=0.0, abs_tol=1e-3)
+
+
+@pytest.mark.parametrize("m, n", [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0),
+                                  (0, 2)])
+def test_fd_moment_quaternion_density(m, n):
+    # i, j and k parts: the unit factors must sit on their own sides,
+    # (-i)^m on the left and (-j)^n on the right
+    f = example1_numerator(129)
+    assert (fd_moment(f, m, n) - expectation(f, (m, n))).norm() <= 1e-4
 
 
 def test_fd_moment_convergence_order():
@@ -287,6 +307,11 @@ def test_fd_moment_guards():
         fd_moment(u, -1, 0)
     with pytest.raises(ValueError):
         fd_moment(u, 1, 0, h=1e-6)
+    # an integral float order is the integer one; a fractional one is
+    # refused, not read as another order
+    assert fd_moment(u, 1.0, 0) == fd_moment(u, 1, 0)
+    with pytest.raises(ValueError, match="integers"):
+        fd_moment(u, 0.5, 0)
 
 
 def test_covariance_uniform():

@@ -118,6 +118,16 @@ def test_coercion_rejects_junk():
         Quaternion(1.0) * "text"
 
 
+@pytest.mark.parametrize("s", [np.int64(2), np.float32(2.0)])
+def test_arithmetic_takes_numpy_scalars(s):
+    # a numpy scalar is a real number, as it is to Quaternion(s)
+    q = Quaternion(1.0, 2.0, 3.0, 4.0)
+    assert q * s == s * q == Quaternion(2.0, 4.0, 6.0, 8.0)
+    assert q / s == Quaternion(0.5, 1.0, 1.5, 2.0)
+    assert q + s == Quaternion(3.0, 2.0, 3.0, 4.0)
+    assert q - s == Quaternion(-1.0, 2.0, 3.0, 4.0)
+
+
 def test_components_are_plain_floats():
     q = Quaternion(np.float64(1.5), 0, np.float32(0.25), 2)
     assert all(type(c) is float for c in q.components())
