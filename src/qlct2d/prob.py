@@ -24,7 +24,8 @@ from .field import (GridSpec, SampledField, integrate, qnorm_values,
                     _axis_weights, _origin_offset, _quadrature)
 from .lct import TransformParams
 from .quaternion import I, J, ONE, Quaternion, mul
-from .transform import Spectrum, forward, inverse as lct_inverse, _sandwich
+from .transform import (Spectrum, forward, inverse as lct_inverse, _axes,
+                        _sandwich, _side)
 
 __all__ = [
     "QpdfReport",
@@ -166,12 +167,9 @@ def charfn(f: SampledField, freq: GridSpec, mode: str = "fourier",
         raise ValueError(f"unknown mode {mode!r}")
     if params is not None:
         raise ValueError("fourier mode takes no params (use mode lct)")
-    x1, x2 = f.spec.x1_nodes(), f.spec.x2_nodes()
-    u, v = freq.x1_nodes(), freq.x2_nodes()
-    w1, w2 = _axis_weights(f.spec)
-    kl = np.exp(1j * np.outer(u, x1)) * w1[None, :]
-    kr = np.exp(1j * np.outer(x2, v)) * w2[:, None]
-    return CharFn(Spectrum(freq, _sandwich(f.values, kl, kr)))
+    (x1, x2), (u, v) = _axes(f.spec), _axes(freq)
+    return CharFn(Spectrum(freq, _sandwich(f.values, _side(1, x1, u),
+                                           _side(1, x2, v))))
 
 
 def _abs_integral(f: SampledField, x1_factor=1.0) -> float:
@@ -238,14 +236,10 @@ def invert_charfn(cf: CharFn, space: GridSpec) -> SampledField:
     """
     if cf.mode == "lct":
         return lct_inverse(cf.spectrum, space)
-    spec = cf.spectrum.spec
-    u, v = spec.x1_nodes(), spec.x2_nodes()
-    x1, x2 = space.x1_nodes(), space.x2_nodes()
-    wu, wv = _axis_weights(spec)
-    kl = np.exp(-1j * np.outer(x1, u)) * wu[None, :]
-    kr = np.exp(-1j * np.outer(v, x2)) * wv[:, None]
-    scale = 1.0 / (2.0 * math.pi) ** 2
-    return SampledField(space, scale * _sandwich(cf.spectrum.values, kl, kr))
+    (u, v), (x1, x2) = _axes(cf.spectrum.spec), _axes(space)
+    left = _side(-1, u, x1, amp=1.0 / (2.0 * math.pi) ** 2)
+    return SampledField(space, _sandwich(cf.spectrum.values, left,
+                                         _side(-1, v, x2)))
 
 
 def fd_moment(f: SampledField, m: int, n: int, h: float = 1e-3) -> Quaternion:

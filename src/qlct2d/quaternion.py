@@ -1,8 +1,8 @@
 """Quaternion scalar arithmetic.
 
 The algebra H of numbers q = q0 + i*q1 + j*q2 + k*q3 with
-i^2 = j^2 = k^2 = ijk = -1.  All components are 64-bit floats; equality
-is tolerance-based (see :func:`isclose`), never exact.
+i^2 = j^2 = k^2 = ijk = -1.  All components are 64-bit floats.  ``==``
+compares the components exactly; :func:`isclose` is the tolerance test.
 """
 
 from __future__ import annotations
@@ -76,6 +76,10 @@ class Quaternion:
             return Quaternion(self.q0 / other, self.q1 / other,
                               self.q2 / other, self.q3 / other)
         return mul(self, inverse(_coerce(other)))
+
+    def __rtruediv__(self, other):
+        # a real numerator commutes, so r / q = r q^-1 = q^-1 r
+        return mul(_coerce(other), inverse(self))
 
     def conj(self) -> "Quaternion":
         return conj(self)

@@ -6,13 +6,22 @@ The forward transform evaluates, for every frequency node (u1, u2),
 
 with quadrature weights w; the i-kernel always multiplies from the left
 and the j-kernel from the right.  As the kernels live in span{1,i} and
-span{1,j}, each half-sandwich is one complex matrix product on the
-symplectic pairs q = (q0 + q1 i) + (q2 + q3 i) j (Ell & Sangwine 2007),
-which keeps the direct quadrature affordable without an FFT factorization.
+span{1,j}, each half-sandwich acts on complex pairs: the symplectic
+pairs q = (q0 + q1 i) + (q2 + q3 i) j on the left (Ell & Sangwine 2007),
+the j pairs q0 + q2 j, q1 + q3 j on the right.
+
+On uniform nodes centred on their midpoint, each side's kernel is a
+chirp in the input node s, the core e^{unit β s t} and a chirp in the
+output node t.  The core's cosine is even and its sine odd, so folding
+the input into z(s) ± z(-s) turns a half-sandwich into two half-size
+real products (the even/odd fold of the fast DCT, Makhoul 1980): a
+quarter of the flops of the one complex product it replaces, which keeps
+the direct quadrature affordable without an FFT factorization.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -20,8 +29,8 @@ import numpy as np
 
 from .field import (GridSpec, SampledField, _axis_weights, _origin_offset,
                     _qconv, _require_same_spec, convolve, l2_norm,
-                    qconj_values, qmul_values)
-from .lct import TransformParams, kernel_matrix
+                    qconj_values, qmul_values, quad_weights_1d)
+from .lct import LctParams, TransformParams, kernel_matrix
 
 __all__ = [
     "Spectrum",
@@ -43,34 +52,169 @@ class Spectrum(SampledField):
     params: TransformParams | None = None
 
 
-def _sandwich(values: np.ndarray, kl: np.ndarray, kr: np.ndarray) -> np.ndarray:
-    """Quaternion sandwich sum_rc kl[m,r] * q[r,c] * kr[c,n].
+@dataclass(frozen=True)
+class _Side:
+    """One side's weighted kernel amp e^{σ u (α p² + β p q + γ q² + φ)} w(p)
+    from input node p onto output node q, with u the side's unit.
 
-    kl's imaginary unit acts as i, kr's as j.  Left multiplication by
-    span{1,i} acts on the pairs (q0,q1), (q2,q3): the values viewed as
-    complex, one product.  Right multiplication by span{1,j} acts on
-    (q0,q2), (q1,q3): the rows g1.re + i g2.re, g1.im + i g2.im of g.
+    On centred nodes p = μp + s, q = μq + t it factors as
+    pre(s) e^{σ u β s t} post(t), whose middle factor has a cosine even
+    and a sine odd in s and in t.  So only its s >= 0, t >= 0 quarter is
+    kept: cos and sin are the real (⌈n/2⌉, ⌈m/2⌉) arrays cos(β s t) and
+    sin(β s t).  pre (n,) carries the weights; pre and post are complex.
     """
-    m, (n1, n2) = kl.shape[0], values.shape[:2]
-    # g is rebound at each stage, so a full-size buffer is freed as soon
-    # as its successor exists: at most two are alive at once
-    g = kl @ np.ascontiguousarray(values).view(complex).reshape(n1, 2 * n2)
-    g = g.view(float).reshape(m, n2, 2, 2).transpose(0, 3, 1, 2).copy()
-    g = g.view(complex).reshape(2 * m, n2) @ kr
-    # g's rows alternate d1 = (q0, q2) and d2 = (q1, q3) pairs
-    g = g.view(float).reshape(m, 2, -1, 2).transpose(0, 2, 3, 1)
-    return g.reshape(m, -1, 4)
+
+    pre: np.ndarray
+    post: np.ndarray
+    cos: np.ndarray
+    sin: np.ndarray
+    sigma: int
+
+
+def _axes(spec: GridSpec) -> tuple[tuple, tuple]:
+    """(midpoint, spacing, count) of each of the grid's two axes."""
+    return ((0.5 * (spec.x1_min + spec.x1_max), spec.h1, spec.n1),
+            (0.5 * (spec.x2_min + spec.x2_max), spec.h2, spec.n2))
+
+
+def _side(sigma: int, src: tuple, dst: tuple, alpha: float = 0.0,
+          b: float = -1.0, gamma: float = 0.0, phi: float = 0.0,
+          amp: float = 1.0) -> _Side:
+    """Factor the kernel with β = -1/b that sums over the src axis onto
+    the dst axis, each given as (midpoint, spacing, count).  The
+    defaults give the Fourier kernel e^{σ u p q}."""
+    (mp, hp, n), (mq, hq, m) = src, dst
+    s = hp * (np.arange(n) - 0.5 * (n - 1))  # exactly antisymmetric
+    t = hq * (np.arange(m) - 0.5 * (m - 1))
+    beta = -1.0 / b
+    pre = quad_weights_1d(n, hp) * np.exp(
+        sigma * 1j * (alpha * s ** 2 + (2.0 * alpha * mp + beta * mq) * s))
+    phase0 = alpha * mp ** 2 + beta * mp * mq + gamma * mq ** 2 + phi
+    post = amp * np.exp(sigma * 1j * (
+        gamma * t ** 2 + (2.0 * gamma * mq + beta * mp) * t + phase0))
+    # with a = d = 0 the kernel's phase is β s t - π/4
+    core = kernel_matrix(LctParams(0.0, b, -1.0 / b, 0.0), s[n // 2:],
+                         t[m // 2:])
+    core *= cmath.rect(math.sqrt(2.0 * math.pi * abs(b)), math.pi / 4.0)
+    return _Side(pre, post, core.real.copy(), core.imag.copy(), sigma)
+
+
+def _lct_side(p: LctParams, sigma: int, src: tuple, dst: tuple) -> _Side:
+    """The kernel of p (sigma = 1), or its unit conjugate summed over u
+    onto x, in which a and d trade places (sigma = -1, the inverse)."""
+    a, d = (p.a, p.d) if sigma > 0 else (p.d, p.a)
+    return _side(sigma, src, dst, a / (2.0 * p.b), p.b, d / (2.0 * p.b),
+                 -math.pi / 4.0, 1.0 / math.sqrt(2.0 * math.pi * abs(p.b)))
+
+
+def _fold_factors(side: _Side):
+    """cos, the sine without its t = 0 column (where it vanishes), and
+    pre with the centre node of an odd count, which pairs with itself in
+    the fold, at half weight.  A real, even pre (a Fourier kernel onto a
+    centred grid) goes into cos and sin instead of over the data, and
+    None is returned for it."""
+    pre = side.pre.copy()
+    n, h, m = len(pre), len(side.cos), len(side.post)
+    if n % 2:
+        pre[n // 2] *= 0.5
+    cos, sin = side.cos, side.sin[:, m % 2:]
+    if not pre.imag.any() and np.array_equal(pre, pre[::-1]):
+        w = pre.real[n - h:, None]
+        cos, sin, pre = cos * w, sin * w, None
+    return cos, np.ascontiguousarray(sin), pre
+
+
+def _unfold(side: _Side, out: np.ndarray):
+    """Finish the complex (m, k) out in place.  Rows m // 2 on hold C z_e
+    at the nodes t >= 0, in order; the m // 2 rows before them hold S z_o
+    at the nodes t > 0, in the same order.  The first become
+    post(t) (C z_e + σ u S z_o) and the second, at the mirror nodes -t,
+    post(-t) (C z_e - σ u S z_o): those stay in order of |t|, which the
+    caller undoes in its next copy."""
+    m = len(side.post)
+    up, lo = out[m - m // 2:], out[:m // 2]
+    lo *= side.sigma * 1j
+    down = up - lo
+    up += lo
+    lo[...] = down
+    del down
+    out[m // 2:] *= side.post[m // 2:, None]
+    lo *= side.post[:m // 2][::-1, None]
+
+
+def _sandwich(values: np.ndarray, left: _Side, right: _Side) -> np.ndarray:
+    """Quaternion sandwich sum_rc kl[m,r] * q[r,c] * kr[c,n] of the
+    factored kernels kl (left, unit i) and kr (right, unit j).
+
+    Left multiplication by span{1,i} acts on the pairs (q0,q1), (q2,q3):
+    the values viewed as complex.  Right multiplication by span{1,j}
+    acts on (q0,q2), (q1,q3).  Each side multiplies its input by pre,
+    folds it about the centre into z_e, z_o = z(s) ± z(-s) and contracts
+    both halves with its real cos and sin: two half-size real products
+    in place of one full-size complex product.
+    """
+    (n1, n2), m, n = values.shape[:2], len(left.post), len(right.post)
+    v = np.ascontiguousarray(values).view(complex).reshape(n1, 2 * n2)
+    cos, sin, pre = _fold_factors(left)
+    h, mh = cos.shape
+    g = np.empty((m, 2 * n2), dtype=complex)
+    vu, vl, up, lo = v[n1 - h:], v[h - 1::-1], g[m - mh:], g[:m // 2]
+    # in ⌈4h/m⌉ equal column blocks, whose (h, step) fold temporaries,
+    # at most four at once with numpy's buffers, fit in g
+    step = -(-2 * n2 // -(-4 * h // m))
+    for c in range(0, 2 * n2, step):
+        cols = slice(c, c + step)
+        ze, zo = vu[:, cols], vl[:, cols]
+        if pre is not None:
+            ze, zo = ze * pre[n1 - h:, None], zo * pre[h - 1::-1, None]
+        ze, zo = ze + zo, ze - zo
+        np.matmul(cos.T, ze.view(float), out=up[:, cols].view(float))
+        np.matmul(sin.T, zo.view(float), out=lo[:, cols].view(float))
+        del ze, zo
+    _unfold(left, g)
+
+    # g's (q0 + i q1, q2 + i q3) pairs as rows of j pairs (q0 + j q2),
+    # (q1 + j q3), rows back in order, split into the columns s >= 0 and
+    # their mirrors -s
+    cos, sin, pre = _fold_factors(right)
+    h, mh = cos.shape
+    jp = g.view(float).reshape(m, n2, 2, 2).transpose(0, 3, 1, 2)
+    head, tail = np.empty((m, 2, h, 2)), np.empty((m, 2, h, 2))
+    for rows, src in ((slice(m // 2), jp[:m // 2][::-1]),
+                      (slice(m // 2, m), jp[m // 2:])):
+        head[rows], tail[rows] = src[:, :, n2 - h:], src[:, :, h - 1::-1]
+    del v, vu, vl, g, up, lo, jp, src
+    head = head.view(complex).reshape(2 * m, h)
+    tail = tail.view(complex).reshape(2 * m, h)
+    if pre is not None:
+        head *= pre[n2 - h:]
+        tail *= pre[h - 1::-1]
+    ze, zo = head + tail, np.subtract(head, tail, out=tail)
+    del head, tail
+    # the re/im axis into rows, for real products over s
+    ze = ze.view(float).reshape(2 * m, h, 2).transpose(0, 2, 1).copy()
+    zo = zo.view(float).reshape(2 * m, h, 2).transpose(0, 2, 1).copy()
+    y = np.empty((n, 2 * m), dtype=complex)
+    np.matmul(cos.T, ze.reshape(4 * m, h).T, out=y[n - mh:].view(float))
+    del ze
+    np.matmul(sin.T, zo.reshape(4 * m, h).T, out=y[:n // 2].view(float))
+    del zo
+    _unfold(right, y)
+    # y[b, (a, pair)] -> out[a, b, re/im, pair], the b < 0 rows back in
+    # order
+    out = np.empty((m, n, 2, 2))
+    y = y.view(float).reshape(n, m, 2, 2).transpose(1, 0, 3, 2)
+    out[:, :n // 2] = y[:, :n // 2][:, ::-1]
+    out[:, n // 2:] = y[:, n // 2:]
+    return out.reshape(m, n, 4)
 
 
 def forward(f: SampledField, params: TransformParams,
             freq: GridSpec) -> Spectrum:
     """Forward transform of f onto the given frequency grid."""
-    x1, x2 = f.spec.x1_nodes(), f.spec.x2_nodes()
-    u1, u2 = freq.x1_nodes(), freq.x2_nodes()
-    w1, w2 = _axis_weights(f.spec)
-    kl = kernel_matrix(params.A1, x1, u1).T * w1[None, :]
-    kr = kernel_matrix(params.A2, x2, u2) * w2[:, None]
-    return Spectrum(freq, _sandwich(f.values, kl, kr), params)
+    (x1, x2), (u1, u2) = _axes(f.spec), _axes(freq)
+    return Spectrum(freq, _sandwich(f.values, _lct_side(params.A1, 1, x1, u1),
+                                    _lct_side(params.A2, 1, x2, u2)), params)
 
 
 def inverse(s: Spectrum, space: GridSpec) -> SampledField:
@@ -82,12 +226,10 @@ def inverse(s: Spectrum, space: GridSpec) -> SampledField:
     """
     if s.params is None:
         raise ValueError("spectrum carries no transform parameters")
-    u1, u2 = s.spec.x1_nodes(), s.spec.x2_nodes()
-    x1, x2 = space.x1_nodes(), space.x2_nodes()
-    wu1, wu2 = _axis_weights(s.spec)
-    kl = kernel_matrix(s.params.A1, x1, u1, conjugate=True) * wu1[None, :]
-    kr = kernel_matrix(s.params.A2, x2, u2, conjugate=True).T * wu2[:, None]
-    return SampledField(space, _sandwich(s.values, kl, kr))
+    (u1, u2), (x1, x2) = _axes(s.spec), _axes(space)
+    return SampledField(space, _sandwich(s.values,
+                                         _lct_side(s.params.A1, -1, u1, x1),
+                                         _lct_side(s.params.A2, -1, u2, x2)))
 
 
 def parseval_ratio(f: SampledField, params: TransformParams,

@@ -128,6 +128,27 @@ def test_arithmetic_takes_numpy_scalars(s):
     assert q - s == Quaternion(-1.0, 2.0, 3.0, 4.0)
 
 
+@pytest.mark.parametrize("r", [2, 2.0, np.int64(2), np.float64(2.0)])
+def test_real_divided_by_quaternion(r):
+    # r / q = r q^-1 for a real r of any kind, like q / r and r * q
+    q = Quaternion(1.0, 2.0, 3.0, 4.0)
+    got = r / q
+    assert type(got) is Quaternion
+    assert isclose(got, mul(Quaternion(2.0), inverse(q)))
+    assert isclose(got * q, Quaternion(2.0))
+
+
+def test_real_divided_by_zero_quaternion_raises():
+    with pytest.raises(ZeroDivisionError):
+        2.0 / Quaternion(0.0)
+
+
+def test_equality_is_exact():
+    # == compares components exactly; isclose is the tolerance test
+    p, q = Quaternion(1.0), Quaternion(1.0 + 1e-15)
+    assert p != q and isclose(p, q)
+
+
 def test_components_are_plain_floats():
     q = Quaternion(np.float64(1.5), 0, np.float32(0.25), 2)
     assert all(type(c) is float for c in q.components())

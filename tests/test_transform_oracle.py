@@ -9,17 +9,24 @@ both quadrature rules (n < 6 and n >= 6); parameters have b != 0 of
 either sign and differ between the axes.
 
 `_sandwich` itself is checked against the four complex products on the
-pairs (q0 + i q1, q2 + i q3) that its two stacked products replace, on
-shapes where every dimension differs and on transposed kernel layouts.
+pairs (q0 + i q1, q2 + i q3), with the dense kernels assembled from the
+same factored sides, on shapes where every dimension differs.  Each
+side's factors are checked against the kernel formula they factor, and
+fourier-mode `charfn` and `invert_charfn` against the direct e^{±iux}
+sums on a box and a frequency grid that are not centred on 0.
 """
 
+import math
+
 import numpy as np
-from hypothesis import example, given, settings, strategies as st
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from qlct2d.field import GridSpec, SampledField, qnorm_values, quad_weights_1d
 from qlct2d.lct import LctParams, TransformParams, kernel_i, kernel_j
+from qlct2d.prob import CharFn, charfn, invert_charfn
 from qlct2d.quaternion import Quaternion, mul
-from qlct2d.transform import Spectrum, _sandwich, forward, inverse
+from qlct2d.transform import Spectrum, _sandwich, _side, forward, inverse
 
 
 def _sandwich_sum(values: np.ndarray, src: GridSpec, dst: GridSpec,
@@ -110,34 +117,110 @@ def _four_product_sandwich(values: np.ndarray, kl: np.ndarray,
     return np.stack([d1.real, d2.real, d1.imag, d2.imag], axis=-1)
 
 
+def _dense(side) -> np.ndarray:
+    """The (m, n) kernel post(t) e^{σ u β s t} pre(s) of a factored side,
+    its core unfolded from the s >= 0, t >= 0 quarter by the parity of
+    cos and sin."""
+    def mirror(count):
+        k = 2 * np.arange(count) - (count - 1)  # 2 s / spacing
+        return np.abs(k) // 2, np.sign(k)
+
+    (ip, sp), (iq, sq) = mirror(len(side.pre)), mirror(len(side.post))
+    core = (side.cos[np.ix_(ip, iq)]
+            + side.sigma * 1j * np.outer(sp, sq) * side.sin[np.ix_(ip, iq)])
+    return (side.pre[:, None] * core * side.post[None, :]).T
+
+
+@st.composite
+def _factored_side(draw, n_in: int, n_out: int):
+    """A side with random kernel coefficients between random grids; in
+    about half the draws α = 0 onto a centred grid, so that pre is real
+    and even and goes into cos and sin."""
+    def axis(count, mid):
+        return (mid, draw(st.floats(0.1, 0.6)), count)
+
+    even = draw(st.booleans())
+    coefs = [draw(st.floats(-2.0, 2.0)) for _ in range(5)]
+    b = draw(st.floats(0.3, 2.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    args = (draw(st.sampled_from([-1, 1])), axis(n_in, coefs[0]),
+            axis(n_out, 0.0 if even else coefs[1]),
+            0.0 if even else coefs[2], b, coefs[3], coefs[4],
+            1.0 + abs(coefs[0]))
+    return args, _side(*args)
+
+
 @st.composite
 def _sandwich_operands(draw):
     m, n1, n2, n = draw(st.lists(st.integers(1, 9), min_size=4,
                                  max_size=4, unique=True))
-    return m, n1, n2, n, draw(st.booleans()), draw(st.integers(0, 2 ** 32 - 1))
+    left = draw(_factored_side(n1, m))[1]
+    right = draw(_factored_side(n2, n))[1]
+    return left, right, draw(st.integers(0, 2 ** 32 - 1))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(_sandwich_operands())
-@example((1, 5, 3, 7, False, 0))
-@example((6, 4, 2, 1, True, 1))
-@example((1, 2, 3, 1, True, 2))
 def test_sandwich_matches_four_products(operands):
-    m, n1, n2, n, transposed, seed = operands
-    rng = np.random.default_rng(seed)
-
-    def cplx(*shape):
-        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-    values = rng.standard_normal((n1, n2, 4))
-    # a transposed kl is an F-ordered view, as kernel_matrix(...).T is
-    kl = cplx(n1, m).T if transposed else cplx(m, n1)
-    kr = cplx(n2, n)
-    got = _sandwich(values, kl, kr)
+    left, right, seed = operands
+    n1, n2 = len(left.pre), len(right.pre)
+    values = np.random.default_rng(seed).standard_normal((n1, n2, 4))
+    kl, kr = _dense(left), _dense(right).T
+    got = _sandwich(values, left, right)
     want = _four_product_sandwich(values, kl, kr)
-    assert got.shape == (m, n, 4)
+    assert got.shape == (len(left.post), len(right.post), 4)
     assert float(np.max(qnorm_values(got - want))) \
         <= 1e-13 * float(np.max(qnorm_values(want)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(1, 9), st.integers(1, 9), st.data())
+def test_side_factors_its_kernel(n_in, n_out, data):
+    # amp e^{σ u (α p² + β p q + γ q² + φ)} w(p) with β = -1/b, on the
+    # nodes p = μp + s, q = μq + t
+    args, side = data.draw(_factored_side(n_in, n_out))
+    sigma, (mp, hp, _), (mq, hq, _), alpha, b, gamma, phi, amp = args
+    p = mp + hp * (np.arange(n_in) - 0.5 * (n_in - 1))
+    q = mq + hq * (np.arange(n_out) - 0.5 * (n_out - 1))
+    phase = (alpha * p[None, :] ** 2 - np.outer(q, p) / b
+             + gamma * q[:, None] ** 2 + phi)
+    want = amp * np.exp(sigma * 1j * phase) * quad_weights_1d(n_in, hp)
+    got = _dense(side)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n1, n2, m, n, box, fbox", [
+    # a box and a frequency grid that are not centred on 0
+    (9, 8, 5, 6, (0.0, 1.0, 0.0, 1.0), (-1.0, 7.0, 0.5, 4.5)),
+    (8, 9, 6, 5, (0.0, 1.0, 0.0, 1.0), (-1.0, 7.0, 0.5, 4.5)),
+    # centred grids: a real, even pre, carried in cos and sin
+    (9, 8, 5, 6, (-1.0, 1.0, -1.0, 1.0), (-6.0, 6.0, -3.0, 3.0)),
+])
+def test_fourier_charfn_and_inversion_match_direct_sums(n1, n2, m, n, box,
+                                                        fbox):
+    space = GridSpec(*box, n1, n2)
+    freq = GridSpec(*fbox, m, n)
+    rng = np.random.default_rng(n1)
+    x1, x2 = space.x1_nodes(), space.x2_nodes()
+    u, v = freq.x1_nodes(), freq.x2_nodes()
+
+    def weights(spec):
+        return (quad_weights_1d(spec.n1, spec.h1),
+                quad_weights_1d(spec.n2, spec.h2))
+
+    f = rng.standard_normal((n1, n2, 4))
+    w1, w2 = weights(space)
+    want = _four_product_sandwich(f, np.exp(1j * np.outer(u, x1)) * w1,
+                                  np.exp(1j * np.outer(x2, v)) * w2[:, None])
+    got = charfn(SampledField(space, f), freq).spectrum.values
+    assert np.max(qnorm_values(got - want)) <= 1e-13 * np.max(qnorm_values(want))
+
+    phi = rng.standard_normal((m, n, 4))
+    wu, wv = weights(freq)
+    want = _four_product_sandwich(phi, np.exp(-1j * np.outer(x1, u)) * wu,
+                                  np.exp(-1j * np.outer(v, x2)) * wv[:, None])
+    want /= (2.0 * math.pi) ** 2
+    got = invert_charfn(CharFn(Spectrum(freq, phi)), space).values
+    assert np.max(qnorm_values(got - want)) <= 1e-13 * np.max(qnorm_values(want))
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
