@@ -71,6 +71,10 @@ class _Side:
     sigma: int
 
 
+# the most column blocks the first side of _sandwich folds its input in
+_MAX_BLOCKS = 32
+
+
 def _axes(spec: GridSpec) -> tuple[tuple, tuple]:
     """(midpoint, spacing, count) of each of the grid's two axes."""
     return ((0.5 * (spec.x1_min + spec.x1_max), spec.h1, spec.n1),
@@ -160,8 +164,11 @@ def _sandwich(values: np.ndarray, left: _Side, right: _Side) -> np.ndarray:
     g = np.empty((m, 2 * n2), dtype=complex)
     vu, vl, up, lo = v[n1 - h:], v[h - 1::-1], g[m - mh:], g[:m // 2]
     # in ⌈4h/m⌉ equal column blocks, whose (h, step) fold temporaries,
-    # at most four at once with numpy's buffers, fit in g
-    step = -(-2 * n2 // -(-4 * h // m))
+    # at most four at once with numpy's buffers, fit in g; but in no
+    # more than _MAX_BLOCKS, whose temporaries stay under about
+    # 2/_MAX_BLOCKS of the input, or a small output would cost hundreds
+    # of blocks of numpy call overhead
+    step = -(-2 * n2 // min(-(-4 * h // m), _MAX_BLOCKS))
     for c in range(0, 2 * n2, step):
         cols = slice(c, c + step)
         ze, zo = vu[:, cols], vl[:, cols]

@@ -9,9 +9,9 @@ import pytest
 from qlct2d.field import GridSpec, SampledField, l2_norm, quad_weights_1d
 from qlct2d.lct import LctParams, TransformParams, fourier_params
 from qlct2d.prob import charfn
-from qlct2d.transform import (Spectrum, _sandwich, _side, correlate, forward,
-                              inverse, parseval_ratio, phase_strip,
-                              product_residuals)
+from qlct2d.transform import (_MAX_BLOCKS, Spectrum, _sandwich, _side,
+                              correlate, forward, inverse, parseval_ratio,
+                              phase_strip, product_residuals)
 from qlct2d.verify import bump_field, gaussian_test_field, structured_pair
 
 FOUR = fourier_params()
@@ -93,12 +93,14 @@ def test_non_contiguous_values_give_the_same_spectrum(layout):
 
 
 @pytest.mark.parametrize("n1, n2, m, n", [(65, 65, 65, 65), (40, 30, 20, 50),
-                                         (129, 129, 9, 9)])
+                                         (129, 129, 9, 9), (201, 201, 3, 3)])
 def test_sandwich_peak_memory(n1, n2, m, n):
     # above its operands, the sandwich may hold the result, the (m, n2)
     # intermediate and temporaries no larger than these; a third
     # full-size buffer, or a temporary that grows with the input (the
-    # 129^2 -> 9^2 case), reads about 3x or more
+    # 129^2 -> 9^2 case, folded in 29 blocks), reads about 3x or more.
+    # Past _MAX_BLOCKS blocks (201^2 -> 3^2 takes 135) the fold's
+    # temporaries may reach 2/_MAX_BLOCKS of the input, not all of it
     rng = np.random.default_rng(7)
     values = rng.standard_normal((n1, n2, 4))
     left = _side(1, (0.5, 0.1, n1), (-0.2, 0.3, m), 0.4, 0.7, -0.3, 0.2, 0.5)
@@ -109,7 +111,8 @@ def test_sandwich_peak_memory(n1, n2, m, n):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * max(result.nbytes, m * n2 * 4 * result.itemsize)
+    assert peak <= 2.5 * max(result.nbytes, m * n2 * 4 * result.itemsize,
+                             2 * values.nbytes / _MAX_BLOCKS)
 
 
 def test_roundtrip_fourier():

@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qlct2d.field import GridSpec, SampledField, qnorm_values, quad_weights_1d
 from qlct2d.lct import LctParams, TransformParams, kernel_i, kernel_j
@@ -160,6 +160,16 @@ def _sandwich_operands(draw):
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(_sandwich_operands())
+# (m, n1, n2, n) = (1, 5, 3, 7), (6, 4, 2, 1) and (1, 2, 3, 1): a single
+# output node, two input rows; on each, one side with a complex pre and
+# one Fourier side onto a centred grid, with a real, even pre
+@example((_side(1, (0.3, 0.2, 5), (-0.4, 0.5, 1), 0.4, 0.7, -0.3, 0.2, 1.5),
+          _side(-1, (0.0, 0.3, 3), (0.0, 0.4, 7)), 0))
+@example((_side(-1, (0.1, 0.3, 4), (0.0, 0.2, 6)),
+          _side(1, (-0.5, 0.4, 2), (0.7, 0.3, 1), -0.6, -1.2, 0.8, -0.1, 0.9),
+          1))
+@example((_side(1, (0.2, 0.5, 2), (-0.3, 0.1, 1), 0.5, 1.1, 0.2, 0.3, 1.0),
+          _side(1, (0.0, 0.2, 3), (0.0, 0.6, 1)), 2))
 def test_sandwich_matches_four_products(operands):
     left, right, seed = operands
     n1, n2 = len(left.pre), len(right.pre)
