@@ -6,7 +6,8 @@ Two on-disk forms are supported:
   row-major order, plus a JSON sidecar ``<path>.json`` holding the grid
   bounds (and transform parameters for spectra).  The sidecar is
   optional on read; without it the grid is inferred from the
-  coordinate columns.
+  coordinate columns.  Either way each row's coordinates must be its
+  node's to within 1e-9 of the spacing, or the file is malformed.
 * A single JSON file embedding the grid header, the values and any
   parameters.
 
@@ -57,9 +58,7 @@ def _header_dict(spec: GridSpec, params: TransformParams | None) -> dict:
 
 def _write_csv(path: str, spec: GridSpec, values: np.ndarray,
                params: TransformParams | None):
-    table = np.column_stack([np.repeat(spec.x1_nodes(), spec.n2),
-                             np.tile(spec.x2_nodes(), spec.n1),
-                             values.reshape(-1, 4)])
+    table = np.column_stack([_node_columns(spec), values.reshape(-1, 4)])
     # %r is the float repr the csv module writes, and \r\n its line end
     body = (",".join(_CSV_HEADER) + "\r\n"
             + ("%r,%r,%r,%r,%r,%r\r\n" * table.shape[0])
@@ -73,17 +72,28 @@ def _write_csv(path: str, spec: GridSpec, values: np.ndarray,
         fh.write(side)
 
 
-def _infer_spec_from_columns(x1: np.ndarray, x2: np.ndarray) -> GridSpec:
+def _node_columns(spec: GridSpec) -> np.ndarray:
+    """The (x1, x2) columns of the grid's nodes in row-major order."""
+    return np.column_stack([np.repeat(spec.x1_nodes(), spec.n2),
+                            np.tile(spec.x2_nodes(), spec.n1)])
+
+
+def _infer_spec_from_columns(path: str, x1: np.ndarray,
+                             x2: np.ndarray) -> GridSpec:
     """Reconstruct the grid from row-major coordinate columns."""
     n2 = 1
     while n2 < x1.size and x1[n2] == x1[0]:
         n2 += 1
     if x1.size % n2 != 0:
-        raise ParseError("row count is not a multiple of the inferred "
-                         f"row length {n2}")
+        raise ParseError(f"{path}: row count is not a multiple of the "
+                         f"inferred row length {n2}")
     n1 = x1.size // n2
-    return GridSpec(float(x1[0]), float(x1[-1]),
-                    float(x2[0]), float(x2[n2 - 1]), n1, n2)
+    try:
+        return GridSpec(float(x1[0]), float(x1[-1]),
+                        float(x2[0]), float(x2[n2 - 1]), n1, n2)
+    except ValueError as e:
+        raise ParseError(f"{path}: the coordinate columns give no grid "
+                         f"({e})") from e
 
 
 def _load_json(path: str):
@@ -146,10 +156,17 @@ def _read_csv(path: str) -> tuple[GridSpec, np.ndarray, TransformParams | None]:
             params = _from_header(side, TransformParams.from_dict,
                                   header["params"])
     else:
-        spec = _infer_spec_from_columns(data[:, 0], data[:, 1])
+        spec = _infer_spec_from_columns(path, data[:, 0], data[:, 1])
     if data.shape[0] != spec.n1 * spec.n2:
         raise ParseError(f"{path}: {data.shape[0]} rows for a "
                          f"{spec.n1} x {spec.n2} grid")
+    # the tolerance of field._origin_offset, 1e-9 h, on each axis
+    off = (np.abs(data[:, :2] - _node_columns(spec))
+           > 1e-9 * np.array([spec.h1, spec.h2]))
+    if off.any():
+        row = int(np.argwhere(off)[0, 0])
+        raise ParseError(f"{path}: data row {row + 1} is not at its node of "
+                         f"the row-major {spec.n1} x {spec.n2} grid")
     values = data[:, 2:].reshape(spec.n1, spec.n2, 4)
     return spec, values, params
 

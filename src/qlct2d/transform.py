@@ -5,15 +5,14 @@ The forward transform evaluates, for every frequency node (u1, u2),
     T{f}(u1, u2) = sum_x  K_i(x1, u1) * f(x1, x2) * K_j(x2, u2) * w(x)
 
 with quadrature weights w; the i-kernel always multiplies from the left
-and the j-kernel from the right.  As the kernels live in span{1,i} and
-span{1,j}, each half-sandwich acts on complex pairs: the symplectic
-pairs q = (q0 + q1 i) + (q2 + q3 i) j on the left (Ell & Sangwine 2007),
-the j pairs q0 + q2 j, q1 + q3 j on the right.
+and the j-kernel from the right.  Both sides reduce to complex
+transforms (the orthogonal planes split, Hitzer & Sangwine 2013), so one
+complex half transform over the rows of an array serves both.
 
 On uniform nodes centred on their midpoint, each side's kernel is a
 chirp in the input node s, the core e^{unit β s t} and a chirp in the
 output node t.  The core's cosine is even and its sine odd, so folding
-the input into z(s) ± z(-s) turns a half-sandwich into two half-size
+the input into z(s) ± z(-s) turns a half transform into two half-size
 real products (the even/odd fold of the fast DCT, Makhoul 1980): a
 quarter of the flops of the one complex product it replaces, which keeps
 the direct quadrature affordable without an FFT factorization.
@@ -23,7 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -130,90 +129,89 @@ def _fold_factors(side: _Side):
 
 def _unfold(side: _Side, out: np.ndarray):
     """Finish the complex (m, k) out in place.  Rows m // 2 on hold C z_e
-    at the nodes t >= 0, in order; the m // 2 rows before them hold S z_o
-    at the nodes t > 0, in the same order.  The first become
-    post(t) (C z_e + σ u S z_o) and the second, at the mirror nodes -t,
-    post(-t) (C z_e - σ u S z_o): those stay in order of |t|, which the
-    caller undoes in its next copy."""
+    at the nodes t >= 0; the m // 2 rows before them hold S z_o at |t|
+    for their nodes t < 0.  Each row becomes post(t) (C z_e ± σ u S z_o),
+    with the sign of t, in its own row.
+    """
     m = len(side.post)
-    up, lo = out[m - m // 2:], out[:m // 2]
+    up, lo = out[m - m // 2:], out[:m // 2][::-1]
     lo *= side.sigma * 1j
-    down = up - lo
     up += lo
-    lo[...] = down
-    del down
-    out[m // 2:] *= side.post[m // 2:, None]
-    lo *= side.post[:m // 2][::-1, None]
+    lo *= -2.0
+    lo += up
+    out *= side.post[:, None]
+
+
+def _half(z: np.ndarray, side: _Side) -> np.ndarray:
+    """The complex (m, k) sum over the rows s of the complex (n, k) z
+    with the side's kernel pre(s) e^{σ i β s t} post(t), i standing for
+    its unit.  z times pre is folded about the centre into
+    z_e, z_o = z(s) ± z(-s), whose halves the real cos and sin contract:
+    two half-size real products in place of one complex product.
+    """
+    cos, sin, pre = _fold_factors(side)
+    (n, k), (h, mh), m = z.shape, cos.shape, len(side.post)
+    # the sine's columns t > 0 in reverse, the order of the rows -t
+    sin = sin[:, ::-1].copy()
+    out = np.empty((m, k), dtype=complex)
+    zu, zl, up, lo = z[n - h:], z[h - 1::-1], out[m - mh:], out[:m // 2]
+    # in ⌈4h/m⌉ equal column blocks, whose (h, step) fold temporaries,
+    # at most four at once with numpy's buffers, fit in out; but in no
+    # more than _MAX_BLOCKS, whose temporaries stay under about
+    # 2/_MAX_BLOCKS of z, or a small output would cost hundreds of
+    # blocks of numpy call overhead
+    step = -(-k // min(-(-4 * h // m), _MAX_BLOCKS))
+    for c in range(0, k, step):
+        cols = slice(c, c + step)
+        ze, zo = zu[:, cols], zl[:, cols]
+        if pre is not None:
+            ze, zo = ze * pre[n - h:, None], zo * pre[h - 1::-1, None]
+        ze, zo = ze + zo, ze - zo
+        np.matmul(cos.T, ze.view(float), out=up[:, cols].view(float))
+        np.matmul(sin.T, zo.view(float), out=lo[:, cols].view(float))
+        del ze, zo
+    _unfold(side, out)
+    return out
 
 
 def _sandwich(values: np.ndarray, left: _Side, right: _Side) -> np.ndarray:
     """Quaternion sandwich sum_rc kl[m,r] * q[r,c] * kr[c,n] of the
     factored kernels kl (left, unit i) and kr (right, unit j).
 
-    Left multiplication by span{1,i} acts on the pairs (q0,q1), (q2,q3):
-    the values viewed as complex.  Right multiplication by span{1,j}
-    acts on (q0,q2), (q1,q3).  Each side multiplies its input by pre,
-    folds it about the centre into z_e, z_o = z(s) ± z(-s) and contracts
-    both halves with its real cos and sin: two half-size real products
-    in place of one full-size complex product.
+    Write q = z1 + z2 j with z1 = q0 + q1 i, z2 = q2 + q3 i.  A left
+    factor in span{1,i} multiplies z1 and z2: the values viewed as
+    complex.  A right factor a + b j multiplies w = z1 + i z2 by a + b i
+    and v = z1 - i z2 by a - b i (the split of a two-sided transform into
+    complex ones, Pei, Ding & Chang 2001), so the right side is one
+    complex half transform of the transposed w with the side and one of
+    v with its conjugate; then z1 = (W + V)/2 and z2 = i(V - W)/2.
     """
     (n1, n2), m, n = values.shape[:2], len(left.post), len(right.post)
-    v = np.ascontiguousarray(values).view(complex).reshape(n1, 2 * n2)
-    cos, sin, pre = _fold_factors(left)
-    h, mh = cos.shape
-    g = np.empty((m, 2 * n2), dtype=complex)
-    vu, vl, up, lo = v[n1 - h:], v[h - 1::-1], g[m - mh:], g[:m // 2]
-    # in ⌈4h/m⌉ equal column blocks, whose (h, step) fold temporaries,
-    # at most four at once with numpy's buffers, fit in g; but in no
-    # more than _MAX_BLOCKS, whose temporaries stay under about
-    # 2/_MAX_BLOCKS of the input, or a small output would cost hundreds
-    # of blocks of numpy call overhead
-    step = -(-2 * n2 // min(-(-4 * h // m), _MAX_BLOCKS))
-    for c in range(0, 2 * n2, step):
-        cols = slice(c, c + step)
-        ze, zo = vu[:, cols], vl[:, cols]
-        if pre is not None:
-            ze, zo = ze * pre[n1 - h:, None], zo * pre[h - 1::-1, None]
-        ze, zo = ze + zo, ze - zo
-        np.matmul(cos.T, ze.view(float), out=up[:, cols].view(float))
-        np.matmul(sin.T, zo.view(float), out=lo[:, cols].view(float))
-        del ze, zo
-    _unfold(left, g)
-
-    # g's (q0 + i q1, q2 + i q3) pairs as rows of j pairs (q0 + j q2),
-    # (q1 + j q3), rows back in order, split into the columns s >= 0 and
-    # their mirrors -s
-    cos, sin, pre = _fold_factors(right)
-    h, mh = cos.shape
-    jp = g.view(float).reshape(m, n2, 2, 2).transpose(0, 3, 1, 2)
-    head, tail = np.empty((m, 2, h, 2)), np.empty((m, 2, h, 2))
-    for rows, src in ((slice(m // 2), jp[:m // 2][::-1]),
-                      (slice(m // 2, m), jp[m // 2:])):
-        head[rows], tail[rows] = src[:, :, n2 - h:], src[:, :, h - 1::-1]
-    del v, vu, vl, g, up, lo, jp, src
-    head = head.view(complex).reshape(2 * m, h)
-    tail = tail.view(complex).reshape(2 * m, h)
-    if pre is not None:
-        head *= pre[n2 - h:]
-        tail *= pre[h - 1::-1]
-    ze, zo = head + tail, np.subtract(head, tail, out=tail)
-    del head, tail
-    # the re/im axis into rows, for real products over s
-    ze = ze.view(float).reshape(2 * m, h, 2).transpose(0, 2, 1).copy()
-    zo = zo.view(float).reshape(2 * m, h, 2).transpose(0, 2, 1).copy()
-    y = np.empty((n, 2 * m), dtype=complex)
-    np.matmul(cos.T, ze.reshape(4 * m, h).T, out=y[n - mh:].view(float))
-    del ze
-    np.matmul(sin.T, zo.reshape(4 * m, h).T, out=y[:n // 2].view(float))
-    del zo
-    _unfold(right, y)
-    # y[b, (a, pair)] -> out[a, b, re/im, pair], the b < 0 rows back in
-    # order
-    out = np.empty((m, n, 2, 2))
-    y = y.view(float).reshape(n, m, 2, 2).transpose(1, 0, 3, 2)
-    out[:, :n // 2] = y[:, :n // 2][:, ::-1]
-    out[:, n // 2:] = y[:, n // 2:]
-    return out.reshape(m, n, 4)
+    z = np.ascontiguousarray(values).view(complex).reshape(n1, 2 * n2)
+    g = _half(z, left).reshape(m, n2, 2)
+    # w and v, transposed, share one block, which then holds W and V
+    # transposed back: fewer and like-sized buffers keep the heap compact
+    block = np.empty((2, m * max(n2, n)), dtype=complex)
+    w, v = (b[:n2 * m].reshape(n2, m) for b in block)
+    w[...], v[...] = g[..., 0].T, g[..., 1].T
+    del z, g
+    # w = z1 + i z2, then v = w - 2 i z2 = z1 - i z2
+    v *= 1j
+    w += v
+    v *= -2.0
+    v += w
+    # the 1/2 of z1 and z2 rides on post
+    right = replace(right, post=0.5 * right.post)
+    conj = replace(right, pre=right.pre.conj(), post=right.post.conj(),
+                   sigma=-right.sigma)
+    W, V = (b[:m * n].reshape(m, n) for b in block)
+    W[...] = _half(w, right).T
+    V[...] = _half(v, conj).T
+    out = np.empty((m, n, 2), dtype=complex)
+    np.add(W, V, out=out[..., 0])
+    V -= W
+    np.multiply(V, 1j, out=out[..., 1])
+    return out.view(float)
 
 
 def forward(f: SampledField, params: TransformParams,

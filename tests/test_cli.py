@@ -231,6 +231,15 @@ def test_nonfinite_csv_cell_exits_2(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+def test_degenerate_csv_grid_exits_2(tmp_path, capsys):
+    # without a sidecar, every x1 = 0 gives a grid of zero width
+    src = tmp_path / "f.csv"
+    src.write_text("x1,x2,qa,qb,qc,qd\n"
+                   + "".join(f"0,{c},1,0,0,0\n" for c in range(4)))
+    assert main(["moments", str(src), "--out", str(tmp_path / "m.json")]) == 2
+    assert "give no grid" in capsys.readouterr().err
+
+
 def test_nonfinite_json_spectrum_exits_2(tmp_path, capsys):
     src = str(tmp_path / "f.csv")
     spec_path = tmp_path / "s.json"

@@ -210,6 +210,33 @@ def test_csv_reader_counts_rows(tmp_path, edit, message):
         read_field(path)
 
 
+def _column_major(tmp_path):
+    """A 5 x 7 field file, sidecar kept, whose rows run down the columns."""
+    _, path = _csv_variant(tmp_path, lambda ls: "\n".join(
+        ls[:1] + [ls[1 + 7 * r + c] for c in range(7) for r in range(5)]))
+    return path
+
+
+def _non_uniform(tmp_path):
+    """A 3 x 2 field file without sidecar whose x1 nodes are 0, 0.1, 1."""
+    path = tmp_path / "field.csv"
+    write_field(SampledField(GridSpec(0.0, 1.0, 0.0, 1.0, 3, 2),
+                             np.ones((3, 2, 4))), str(path))
+    os.remove(str(path) + ".json")
+    lines = path.read_text().splitlines()
+    for row in (3, 4):
+        lines = _cell(lines, row, 0, "0.1")
+    path.write_text("\n".join(lines))
+    return str(path)
+
+
+@pytest.mark.parametrize("make, row", [(_column_major, 2), (_non_uniform, 3)],
+                         ids=["column-major", "non-uniform"])
+def test_csv_rows_off_their_nodes_are_parse_errors(tmp_path, make, row):
+    with pytest.raises(ParseError, match=f"data row {row} is not at its node"):
+        read_field(make(tmp_path))
+
+
 def test_writers_match_csv_and_json_module_bytes(tmp_path):
     extremes = [5e-324, -0.0, 1e16, 1e-5, 1.7976931348623157e308,
                 -2.5e-300, 0.1, 1 / 3]
