@@ -2,11 +2,11 @@
 transform with a probability layer and a verification suite."""
 
 from .quaternion import (Quaternion, ONE, I, J, K, mul, conj, norm, inverse,
-                         exp_i, exp_j, sc, vec, dot, cross, isclose)
+                         exp_i, isclose)
 from .field import (GridSpec, SampledField, sample, integrate, l2_norm,
                     inner_product, convolve, quad_weights_1d)
 from .lct import (LctParams, TransformParams, kernel_i, kernel_j,
-                  inverse_params, fourier_params, kernel_matrix)
+                  fourier_params, kernel_matrix)
 from .transform import (Spectrum, forward, inverse as inverse_transform,
                         parseval_ratio, correlate, phase_strip,
                         product_residuals)

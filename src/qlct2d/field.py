@@ -114,20 +114,6 @@ class SampledField:
     def __post_init__(self):
         object.__setattr__(self, "values", _grid_values(self.spec, self.values))
 
-    def at(self, r: int, c: int) -> Quaternion:
-        return Quaternion(*self.values[r, c])
-
-    def __add__(self, other: "SampledField") -> "SampledField":
-        _require_same_spec(self, other)
-        return SampledField(self.spec, self.values + other.values)
-
-    def __sub__(self, other: "SampledField") -> "SampledField":
-        _require_same_spec(self, other)
-        return SampledField(self.spec, self.values - other.values)
-
-    def scale(self, s: float) -> "SampledField":
-        return SampledField(self.spec, self.values * float(s))
-
 
 def _grid_values(spec: GridSpec, values) -> np.ndarray:
     """values as a float (n1, n2, 4) array; ValueError on a shape that

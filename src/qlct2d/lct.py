@@ -10,6 +10,8 @@ angle-addition identity exp(unit (t + s)) = exp(unit t) exp(unit s):
 on uniform frequency nodes, about 2 n_x sqrt(n_u) complex exponentials
 and two complex products over the n_x x n_u output replace n_x n_u
 exponentials, and the temporaries hold about 2 n_x sqrt(n_u) values.
+The inverse kernel exp(-unit * phase) is the conjugate of this one;
+the transform module builds its factored form itself.
 
 A matrix with b = 0 is rejected: there the transform is the chirp-scaled
 dilation sqrt(d) exp(unit * (c d / 2) u^2) f(d u), which has no integral
@@ -30,7 +32,6 @@ __all__ = [
     "TransformParams",
     "kernel_i",
     "kernel_j",
-    "inverse_params",
     "fourier_params",
     "kernel_matrix",
 ]
@@ -90,24 +91,17 @@ class TransformParams:
         return cls(LctParams.from_dict(d["A1"]), LctParams.from_dict(d["A2"]))
 
 
-def inverse_params(p: LctParams) -> LctParams:
-    """Matrix inverse (d, -b, -c, a) of a unimodular (a, b, c, d)."""
-    return LctParams(p.d, -p.b, -p.c, p.a)
-
-
 def fourier_params() -> TransformParams:
     """Both axes set to (0, 1, -1, 0): the transform reduces to the 2DQFT."""
     f = LctParams(0.0, 1.0, -1.0, 0.0)
     return TransformParams(f, f)
 
 
-def kernel_matrix(p: LctParams, x: np.ndarray, u: np.ndarray,
-                  conjugate: bool = False) -> np.ndarray:
+def kernel_matrix(p: LctParams, x: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Kernel values K(x_r, u_c) as a complex (len(x), len(u)) array.
 
     The imaginary axis stands for the kernel's own unit (i for axis 1,
-    j for axis 2).  With conjugate=True the unit-conjugated kernel
-    exp(-unit * phase) is returned, which is the exact inverse kernel.
+    j for axis 2).
 
     Built blockwise from the angle-addition identity: with u_c =
     u[C*B] + c'*h for c = C*B + c' and B = isqrt(len(u)),
@@ -122,7 +116,6 @@ def kernel_matrix(p: LctParams, x: np.ndarray, u: np.ndarray,
     """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
-    unit = -1j if conjugate else 1j
     amp = 1.0 / math.sqrt(2.0 * math.pi * abs(p.b))
     n = len(u)
     if n == 0:
@@ -131,11 +124,11 @@ def kernel_matrix(p: LctParams, x: np.ndarray, u: np.ndarray,
     tol = 8.0 * np.finfo(float).eps * np.max(np.abs(u))
     uniform = np.all(np.abs(u - (u[0] + h * np.arange(n))) <= tol)
     block = math.isqrt(n) if uniform else 1
-    coarse = amp * np.exp(unit * ((p.a / (2.0 * p.b)) * x[:, None] ** 2
-                                  - np.outer(x, u[::block]) / p.b
-                                  - math.pi / 4.0))
-    fine = np.exp(-unit * np.outer(x, np.arange(block) * (h / p.b)))
-    col = np.exp(unit * (p.d / (2.0 * p.b)) * u ** 2)
+    coarse = amp * np.exp(1j * ((p.a / (2.0 * p.b)) * x[:, None] ** 2
+                                - np.outer(x, u[::block]) / p.b
+                                - math.pi / 4.0))
+    fine = np.exp(-1j * np.outer(x, np.arange(block) * (h / p.b)))
+    col = np.exp(1j * (p.d / (2.0 * p.b)) * u ** 2)
     k = np.empty((len(x), n), dtype=complex)
     whole, rest = divmod(n, block)
     np.multiply(coarse[:, :whole, None], fine[:, None, :],

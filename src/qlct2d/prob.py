@@ -23,7 +23,7 @@ import numpy as np
 from .field import (GridSpec, SampledField, integrate, qnorm_values,
                     _axis_weights, _origin_offset, _quadrature)
 from .lct import TransformParams
-from .quaternion import I, J, ONE, Quaternion, mul
+from .quaternion import I, J, ONE, Quaternion, mul, norm
 from .transform import (Spectrum, forward, inverse as lct_inverse, _axes,
                         _sandwich, _side)
 
@@ -88,9 +88,6 @@ class CharFn:
     @property
     def mode(self) -> str:
         return "fourier" if self.spectrum.params is None else "lct"
-
-    def at(self, r: int, c: int) -> Quaternion:
-        return self.spectrum.at(r, c)
 
 
 def validate_qpdf(f: SampledField) -> QpdfReport:
@@ -198,7 +195,7 @@ def charfn_properties(cf: CharFn, f: SampledField) -> dict:
     phi0 = Quaternion(*vals[r0, c0])
     report["phi_origin"] = list(phi0.components())
     report["density_integral"] = list(total.components())
-    report["normalization_error"] = (phi0 - total).norm()
+    report["normalization_error"] = norm(phi0 - total)
 
     mod = qnorm_values(vals)
     bound = _abs_integral(f)

@@ -1,8 +1,10 @@
 """Quaternion scalar arithmetic.
 
 The algebra H of numbers q = q0 + i*q1 + j*q2 + k*q3 with
-i^2 = j^2 = k^2 = ijk = -1.  All components are 64-bit floats.  ``==``
-compares the components exactly; :func:`isclose` is the tolerance test.
+i^2 = j^2 = k^2 = ijk = -1.  All components are 64-bit floats.  Each
+operation has one spelling: the operators + - * / and the functions
+mul, conj, norm and inverse.  ``==`` compares the components exactly;
+:func:`isclose` is the tolerance test.
 """
 
 from __future__ import annotations
@@ -22,11 +24,6 @@ __all__ = [
     "norm",
     "inverse",
     "exp_i",
-    "exp_j",
-    "sc",
-    "vec",
-    "dot",
-    "cross",
     "isclose",
 ]
 
@@ -73,22 +70,16 @@ class Quaternion:
 
     def __truediv__(self, other):
         if isinstance(other, numbers.Real):
-            return Quaternion(self.q0 / other, self.q1 / other,
-                              self.q2 / other, self.q3 / other)
+            # through float, as in _coerce: a numpy zero raises
+            # ZeroDivisionError and a float32 is not kept
+            r = float(other)
+            return Quaternion(self.q0 / r, self.q1 / r,
+                              self.q2 / r, self.q3 / r)
         return mul(self, inverse(_coerce(other)))
 
     def __rtruediv__(self, other):
         # a real numerator commutes, so r / q = r q^-1 = q^-1 r
         return mul(_coerce(other), inverse(self))
-
-    def conj(self) -> "Quaternion":
-        return conj(self)
-
-    def norm(self) -> float:
-        return norm(self)
-
-    def inverse(self) -> "Quaternion":
-        return inverse(self)
 
     def components(self):
         return (self.q0, self.q1, self.q2, self.q3)
@@ -147,36 +138,6 @@ def inverse(q: Quaternion) -> Quaternion:
 def exp_i(theta: float) -> Quaternion:
     """Unit exponential e^{i*theta} = cos(theta) + i sin(theta)."""
     return Quaternion(math.cos(theta), math.sin(theta), 0.0, 0.0)
-
-
-def exp_j(theta: float) -> Quaternion:
-    """Unit exponential e^{j*theta} = cos(theta) + j sin(theta)."""
-    return Quaternion(math.cos(theta), 0.0, math.sin(theta), 0.0)
-
-
-def sc(q: Quaternion) -> float:
-    """Scalar part Sc(q) = q0."""
-    return q.q0
-
-
-def vec(q: Quaternion) -> Quaternion:
-    """Vector part Vec(q) = i q1 + j q2 + k q3."""
-    return Quaternion(0.0, q.q1, q.q2, q.q3)
-
-
-def dot(p: Quaternion, q: Quaternion) -> float:
-    """Dot product of the vector parts."""
-    return p.q1 * q.q1 + p.q2 * q.q2 + p.q3 * q.q3
-
-
-def cross(p: Quaternion, q: Quaternion) -> Quaternion:
-    """Cross product of the vector parts, as a pure quaternion."""
-    return Quaternion(
-        0.0,
-        p.q2 * q.q3 - p.q3 * q.q2,
-        p.q3 * q.q1 - p.q1 * q.q3,
-        p.q1 * q.q2 - p.q2 * q.q1,
-    )
 
 
 def isclose(p: Quaternion, q: Quaternion,

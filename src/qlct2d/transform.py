@@ -111,16 +111,17 @@ def _lct_side(p: LctParams, sigma: int, src: tuple, dst: tuple) -> _Side:
 
 
 def _fold_factors(side: _Side):
-    """cos, the sine without its t = 0 column (where it vanishes), and
-    pre with the centre node of an odd count, which pairs with itself in
-    the fold, at half weight.  A real, even pre (a Fourier kernel onto a
-    centred grid) goes into cos and sin instead of over the data, and
-    None is returned for it."""
+    """cos; the sine's columns t > 0 in reverse, the order of the rows
+    -t (its t = 0 column, where it vanishes, dropped); and pre with the
+    centre node of an odd count, which pairs with itself in the fold, at
+    half weight.  A real, even pre (a Fourier kernel onto a centred
+    grid) goes into cos and sin instead of over the data, and None is
+    returned for it."""
     pre = side.pre.copy()
     n, h, m = len(pre), len(side.cos), len(side.post)
     if n % 2:
         pre[n // 2] *= 0.5
-    cos, sin = side.cos, side.sin[:, m % 2:]
+    cos, sin = side.cos, side.sin[:, m % 2:][:, ::-1]
     if not pre.imag.any() and np.array_equal(pre, pre[::-1]):
         w = pre.real[n - h:, None]
         cos, sin, pre = cos * w, sin * w, None
@@ -151,8 +152,6 @@ def _half(z: np.ndarray, side: _Side) -> np.ndarray:
     """
     cos, sin, pre = _fold_factors(side)
     (n, k), (h, mh), m = z.shape, cos.shape, len(side.post)
-    # the sine's columns t > 0 in reverse, the order of the rows -t
-    sin = sin[:, ::-1].copy()
     out = np.empty((m, k), dtype=complex)
     zu, zl, up, lo = z[n - h:], z[h - 1::-1], out[m - mh:], out[:m // 2]
     # in ⌈4h/m⌉ equal column blocks, whose (h, step) fold temporaries,

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from qlct2d.field import (GridSpec, SampledField, convolve, qnorm_values,
                           quad_weights_1d)
-from qlct2d.quaternion import Quaternion
+from qlct2d.quaternion import Quaternion, conj
 from qlct2d.transform import correlate
 
 
@@ -37,7 +37,7 @@ def _direct(f: SampledField, g: SampledField, correlation: bool) -> np.ndarray:
                     if correlation:
                         a1, a2 = r1 + s1 + o1, r2 + s2 + o2
                         if 0 <= a1 < n1 and 0 <= a2 < n2:
-                            acc = acc + fq[a1][a2] * (gq[s1][s2].conj() * ws)
+                            acc = acc + fq[a1][a2] * (conj(gq[s1][s2]) * ws)
                     else:
                         b1, b2 = r1 - s1 - o1, r2 - s2 - o2
                         if 0 <= b1 < n1 and 0 <= b2 < n2:

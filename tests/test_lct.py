@@ -7,7 +7,7 @@ import pytest
 
 from qlct2d.field import GridSpec
 from qlct2d.lct import (LctParams, TransformParams, fourier_params,
-                        inverse_params, kernel_i, kernel_j, kernel_matrix)
+                        kernel_i, kernel_j, kernel_matrix)
 from qlct2d.quaternion import Quaternion, exp_i, isclose, mul, norm
 
 
@@ -76,22 +76,17 @@ def test_b_zero_kernel_needs_positive_d():
         LctParams(-2.0, 0.0, 3.0, -0.5)
 
 
-def test_inverse_params_matrix():
-    p = LctParams(1.0, 0.5, 0.0, 1.0)
-    q = inverse_params(p)
-    assert (q.a, q.b, q.c, q.d) == (1.0, -0.5, -0.0, 1.0)
-    assert inverse_params(q) == p
-
-
 def test_forward_plus_inverse_phase_is_minus_half_pi():
-    # kernel(p, x, u) * kernel(inverse_params(p), u, x) has constant
-    # phase -pi/2 and modulus amp^2 for every (x, u) with b != 0
+    # kernel(p, x, u) * kernel(p^-1, u, x), with the inverse matrix
+    # p^-1 = (d, -b, -c, a), has constant phase -pi/2 and modulus amp^2
+    # for every (x, u) with b != 0
     rng = np.random.default_rng(23)
     for p in (fourier_params().A1, LctParams(1.0, 0.5, 0.0, 1.0)):
+        inv = LctParams(p.d, -p.b, -p.c, p.a)
         amp2 = 1.0 / (2.0 * math.pi * abs(p.b))
         target = amp2 * exp_i(-math.pi / 2.0)
         for x, u in rng.uniform(-3.0, 3.0, size=(20, 2)):
-            prod = mul(kernel_i(p, x, u), kernel_i(inverse_params(p), u, x))
+            prod = mul(kernel_i(p, x, u), kernel_i(inv, u, x))
             assert isclose(prod, target, rel_tol=1e-10, abs_tol=1e-12)
 
 
@@ -105,8 +100,6 @@ def test_kernel_matrix_matches_scalar_kernel():
             k = kernel_i(p, x[r], u[c])
             assert m[r, c].real == pytest.approx(k.q0)
             assert m[r, c].imag == pytest.approx(k.q1)
-    conj_m = kernel_matrix(p, x, u, conjugate=True)
-    assert np.allclose(conj_m, np.conj(m))
 
 
 def test_kernel_matrix_with_no_nodes():
@@ -164,18 +157,6 @@ def test_kernel_matrix_matches_longdouble_phase(name, n):
     re, im = _longdouble_kernel(p, x, u)
     assert np.max(np.hypot(k.real - re, k.imag - im)) <= 1e-13 * amp
     assert k.shape == (n, n) and k.flags.c_contiguous
-
-
-@pytest.mark.parametrize("name", sorted(_KERNEL_CASES))
-def test_conjugate_kernel_is_bitwise_conj(name):
-    p = _KERNEL_CASES[name]
-    for nx, nu in ((5, 2), (33, 257), (65, 37)):
-        x = GridSpec(-8.0, 8.0, -8.0, 8.0, nx, nx).x1_nodes()
-        u = GridSpec(-12.0, 12.0, -12.0, 12.0, nu, nu).x1_nodes()
-        k = kernel_matrix(p, x, u)
-        kc = kernel_matrix(p, x, u, conjugate=True)
-        assert np.conj(k).tobytes() == kc.tobytes()
-        assert kc.shape == (nx, nu) and kc.flags.c_contiguous
 
 
 @pytest.mark.parametrize("name", sorted(_KERNEL_CASES))

@@ -5,9 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from qlct2d.quaternion import (I, J, K, ONE, Quaternion, conj, cross, dot,
-                               exp_i, exp_j, inverse, isclose, mul, norm, sc,
-                               vec)
+from qlct2d.quaternion import (I, J, K, ONE, Quaternion, conj, exp_i,
+                               inverse, isclose, mul, norm)
 
 
 def _rand_q(rng):
@@ -60,10 +59,8 @@ def test_inverse_of_zero_raises():
 def test_unit_exponentials():
     t = 0.7
     assert isclose(exp_i(t), Quaternion(math.cos(t), math.sin(t), 0.0, 0.0))
-    assert isclose(exp_j(t), Quaternion(math.cos(t), 0.0, math.sin(t), 0.0))
     # same-axis exponentials compose additively
     assert isclose(mul(exp_i(0.3), exp_i(0.4)), exp_i(0.7))
-    assert isclose(mul(exp_j(-0.2), exp_j(0.9)), exp_j(0.7))
     assert norm(exp_i(t)) == pytest.approx(1.0)
 
 
@@ -72,10 +69,12 @@ def test_scalar_vector_decomposition():
     for _ in range(100):
         p = _rand_q(rng)
         q = _rand_q(rng)
-        assert isclose(Quaternion(sc(p)) + vec(p), p)
-        # pq = p0 q0 - p.q + p0 vec(q) + q0 vec(p) + p x q
-        rebuilt = (Quaternion(sc(p) * sc(q) - dot(p, q))
-                   + sc(p) * vec(q) + sc(q) * vec(p) + cross(p, q))
+        (p0, *pv), (q0, *qv) = p.components(), q.components()
+        # pq = p0 q0 - p.q + p0 vec(q) + q0 vec(p) + p x q, with the
+        # vector parts' dot and cross products taken by numpy
+        vector = (p0 * np.array(qv) + q0 * np.array(pv)
+                  + np.cross(pv, qv))
+        rebuilt = Quaternion(p0 * q0 - np.dot(pv, qv), *vector)
         assert isclose(mul(p, q), rebuilt)
 
 
@@ -83,16 +82,16 @@ def test_scalar_part_cyclic_invariance():
     rng = np.random.default_rng(11)
     for _ in range(200):
         p, q, r = (_rand_q(rng) for _ in range(3))
-        s = sc(mul(mul(r, p), q))
-        assert sc(mul(mul(q, r), p)) == pytest.approx(s, abs=1e-12, rel=1e-12)
-        assert sc(mul(mul(p, q), r)) == pytest.approx(s, abs=1e-12, rel=1e-12)
+        s = mul(mul(r, p), q).q0
+        assert mul(mul(q, r), p).q0 == pytest.approx(s, abs=1e-12, rel=1e-12)
+        assert mul(mul(p, q), r).q0 == pytest.approx(s, abs=1e-12, rel=1e-12)
 
 
 def test_scalar_part_not_invariant_under_adjacent_swap():
     # swapping adjacent factors is not a cyclic permutation and fails:
-    # sc(ijk) = -1 but sc(jik) = +1
-    assert sc(mul(mul(I, J), K)) == pytest.approx(-1.0)
-    assert sc(mul(mul(J, I), K)) == pytest.approx(1.0)
+    # the scalar part of ijk is -1 but that of jik is +1
+    assert mul(mul(I, J), K).q0 == pytest.approx(-1.0)
+    assert mul(mul(J, I), K).q0 == pytest.approx(1.0)
 
 
 def test_random_triple_properties():
@@ -126,6 +125,18 @@ def test_arithmetic_takes_numpy_scalars(s):
     assert q / s == Quaternion(0.5, 1.0, 1.5, 2.0)
     assert q + s == Quaternion(3.0, 2.0, 3.0, 4.0)
     assert q - s == Quaternion(-1.0, 2.0, 3.0, 4.0)
+
+
+@pytest.mark.parametrize("r", [0, 0.0, np.float64(0), np.int64(0)],
+                         ids=["int", "float", "float64", "int64"])
+def test_quaternion_divided_by_real_zero_raises(r):
+    # a numpy zero raises like a Python one, and like inverse(Quaternion())
+    with pytest.raises(ZeroDivisionError):
+        Quaternion(1.0) / r
+
+
+def test_quaternion_divided_by_float32_keeps_double_precision():
+    assert Quaternion(1.0, 2.0) / np.float32(3.0) == Quaternion(1.0, 2.0) / 3.0
 
 
 @pytest.mark.parametrize("r", [2, 2.0, np.int64(2), np.float64(2.0)])

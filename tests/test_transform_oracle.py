@@ -25,7 +25,7 @@ from hypothesis import example, given, settings, strategies as st
 from qlct2d.field import GridSpec, SampledField, qnorm_values, quad_weights_1d
 from qlct2d.lct import LctParams, TransformParams, kernel_i, kernel_j
 from qlct2d.prob import CharFn, charfn, invert_charfn
-from qlct2d.quaternion import Quaternion, mul
+from qlct2d.quaternion import Quaternion, conj, mul
 from qlct2d.transform import Spectrum, _sandwich, _side, forward, inverse
 
 
@@ -41,7 +41,7 @@ def _sandwich_sum(values: np.ndarray, src: GridSpec, dst: GridSpec,
 
     def k(kernel, p, s, d):
         q = kernel(p, d, s) if conjugate else kernel(p, s, d)
-        return q.conj() if conjugate else q
+        return conj(q) if conjugate else q
 
     ki = [[k(kernel_i, params.A1, s, d) for d in d1] for s in s1]
     kj = [[k(kernel_j, params.A2, s, d) for d in d2] for s in s2]
@@ -241,7 +241,8 @@ def test_forward_is_real_linear(case, a, b):
     f, g = (SampledField(space, rng.standard_normal((space.n1, space.n2, 4)))
             for _ in range(2))
     tf, tg = forward(f, params, freq).values, forward(g, params, freq).values
-    got = forward(f.scale(a) + g.scale(b), params, freq).values
+    got = forward(SampledField(space, a * f.values + b * g.values), params,
+                  freq).values
     scale = abs(a) * np.max(qnorm_values(tf)) + abs(b) * np.max(qnorm_values(tg))
     assert float(np.max(qnorm_values(got - (a * tf + b * tg)))) \
         <= 1e-12 * float(scale)
