@@ -6,8 +6,9 @@ The forward transform evaluates, for every frequency node (u1, u2),
 
 with quadrature weights w; the i-kernel always multiplies from the left
 and the j-kernel from the right.  Both sides reduce to complex
-transforms (the orthogonal planes split, Hitzer & Sangwine 2013), so one
-complex half transform over the rows of an array serves both.
+transforms of component pairs, (q0, q1) and (q2, q3) on the left and
+(q0, q2) and (q1, q3) on the right, so one complex half transform over
+the rows of an array serves both.
 
 On uniform nodes centred on their midpoint, each side's kernel is a
 chirp in the input node s, the core e^{unit β s t} and a chirp in the
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,14 +61,13 @@ class _Side:
     pre(s) e^{σ u β s t} post(t), whose middle factor has a cosine even
     and a sine odd in s and in t.  So only its s >= 0, t >= 0 quarter is
     kept: cos and sin are the real (⌈n/2⌉, ⌈m/2⌉) arrays cos(β s t) and
-    sin(β s t).  pre (n,) carries the weights; pre and post are complex.
+    σ sin(β s t).  pre (n,) carries the weights; pre and post are complex.
     """
 
     pre: np.ndarray
     post: np.ndarray
     cos: np.ndarray
     sin: np.ndarray
-    sigma: int
 
 
 # the most column blocks the first side of _sandwich folds its input in
@@ -99,7 +99,7 @@ def _side(sigma: int, src: tuple, dst: tuple, alpha: float = 0.0,
     core = kernel_matrix(LctParams(0.0, b, -1.0 / b, 0.0), s[n // 2:],
                          t[m // 2:])
     core *= cmath.rect(math.sqrt(2.0 * math.pi * abs(b)), math.pi / 4.0)
-    return _Side(pre, post, core.real.copy(), core.imag.copy(), sigma)
+    return _Side(pre, post, core.real.copy(), sigma * core.imag)
 
 
 def _lct_side(p: LctParams, sigma: int, src: tuple, dst: tuple) -> _Side:
@@ -131,12 +131,12 @@ def _fold_factors(side: _Side):
 def _unfold(side: _Side, out: np.ndarray):
     """Finish the complex (m, k) out in place.  Rows m // 2 on hold C z_e
     at the nodes t >= 0; the m // 2 rows before them hold S z_o at |t|
-    for their nodes t < 0.  Each row becomes post(t) (C z_e ± σ u S z_o),
-    with the sign of t, in its own row.
+    for their nodes t < 0.  Each row becomes post(t) (C z_e ± u S z_o),
+    with the sign of t, in its own row; S already carries σ.
     """
     m = len(side.post)
     up, lo = out[m - m // 2:], out[:m // 2][::-1]
-    lo *= side.sigma * 1j
+    lo *= 1j
     up += lo
     lo *= -2.0
     lo += up
@@ -147,8 +147,8 @@ def _half(z: np.ndarray, side: _Side) -> np.ndarray:
     """The complex (m, k) sum over the rows s of the complex (n, k) z
     with the side's kernel pre(s) e^{σ i β s t} post(t), i standing for
     its unit.  z times pre is folded about the centre into
-    z_e, z_o = z(s) ± z(-s), whose halves the real cos and sin contract:
-    two half-size real products in place of one complex product.
+    z_e, z_o = z(s) ± z(-s), whose halves the real cos and σ sin
+    contract: two half-size real products in place of one complex product.
     """
     cos, sin, pre = _fold_factors(side)
     (n, k), (h, mh), m = z.shape, cos.shape, len(side.post)
@@ -177,40 +177,31 @@ def _sandwich(values: np.ndarray, left: _Side, right: _Side) -> np.ndarray:
     """Quaternion sandwich sum_rc kl[m,r] * q[r,c] * kr[c,n] of the
     factored kernels kl (left, unit i) and kr (right, unit j).
 
-    Write q = z1 + z2 j with z1 = q0 + q1 i, z2 = q2 + q3 i.  A left
-    factor in span{1,i} multiplies z1 and z2: the values viewed as
-    complex.  A right factor a + b j multiplies w = z1 + i z2 by a + b i
-    and v = z1 - i z2 by a - b i (the split of a two-sided transform into
-    complex ones, Pei, Ding & Chang 2001), so the right side is one
-    complex half transform of the transposed w with the side and one of
-    v with its conjugate; then z1 = (W + V)/2 and z2 = i(V - W)/2.
+    Write q = z1 + z2 j with z1 = q0 + q1 i, z2 = q2 + q3 i: a left
+    factor in span{1,i} multiplies z1 and z2, the values viewed as
+    complex.  Write q = p + i r with p = q0 + q2 j, r = q1 + q3 j: a
+    right factor c in span{1,j} gives q c = p c + i (r c), so the right
+    side is the same complex half transform, with j in the role of i, of
+    the transposed pairs (q0, q2) and (q1, q3).
     """
     (n1, n2), m, n = values.shape[:2], len(left.post), len(right.post)
     z = np.ascontiguousarray(values).view(complex).reshape(n1, 2 * n2)
-    g = _half(z, left).reshape(m, n2, 2)
-    # w and v, transposed, share one block, which then holds W and V
-    # transposed back: fewer and like-sized buffers keep the heap compact
+    g = _half(z, left).view(float).reshape(m, n2, 4)
+    # the two transposed pairs share one block, which then holds their
+    # transforms transposed back: fewer and like-sized buffers keep the
+    # heap compact
     block = np.empty((2, m * max(n2, n)), dtype=complex)
-    w, v = (b[:n2 * m].reshape(n2, m) for b in block)
-    w[...], v[...] = g[..., 0].T, g[..., 1].T
+    ys = [b[:n2 * m].reshape(n2, m) for b in block]
+    for k, y in enumerate(ys):
+        y.real[...], y.imag[...] = g[..., k].T, g[..., k + 2].T
     del z, g
-    # w = z1 + i z2, then v = w - 2 i z2 = z1 - i z2
-    v *= 1j
-    w += v
-    v *= -2.0
-    v += w
-    # the 1/2 of z1 and z2 rides on post
-    right = replace(right, post=0.5 * right.post)
-    conj = replace(right, pre=right.pre.conj(), post=right.post.conj(),
-                   sigma=-right.sigma)
-    W, V = (b[:m * n].reshape(m, n) for b in block)
-    W[...] = _half(w, right).T
-    V[...] = _half(v, conj).T
-    out = np.empty((m, n, 2), dtype=complex)
-    np.add(W, V, out=out[..., 0])
-    V -= W
-    np.multiply(V, 1j, out=out[..., 1])
-    return out.view(float)
+    ts = [b[:m * n].reshape(m, n) for b in block]
+    for y, o in zip(ys, ts):
+        o[...] = _half(y, right).T
+    out = np.empty((m, n, 4))
+    for k, o in enumerate(ts):
+        out[..., k], out[..., k + 2] = o.real, o.imag
+    return out
 
 
 def forward(f: SampledField, params: TransformParams,

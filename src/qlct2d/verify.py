@@ -23,7 +23,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .field import GridSpec, SampledField, integrate, quad_weights_1d
+from .field import (GridSpec, SampledField, _axis_weights, integrate,
+                    quad_weights_1d)
 from .lct import LctParams, TransformParams, fourier_params, kernel_i
 from .prob import (charfn, charfn_properties, covariance, expectation,
                    fd_moment, invert_charfn, validate_qpdf)
@@ -64,6 +65,11 @@ def _fmt_q(q: Quaternion) -> str:
 
 def _qdiff(p: Quaternion, q: Quaternion) -> float:
     return max(abs(a - b) for a, b in zip(p.components(), q.components()))
+
+
+def _rel_l2(got: SampledField, want: SampledField) -> float:
+    return float(np.sqrt(np.sum((got.values - want.values) ** 2))
+                 / np.sqrt(np.sum(want.values ** 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +282,10 @@ def run_verify(quick: bool = False, tol: float | None = None) -> list[Claim]:
     quick lowers the grid resolutions for fast smoke runs.  tol, when
     given, tightens every required check: each pass threshold becomes
     the smaller of tol and its default, so tol never loosens the ledger.
+    A NaN or negative tol raises ValueError before any check runs.
     """
+    if tol is not None and not tol >= 0.0:
+        raise ValueError(f"tol must be a nonnegative number, got {tol!r}")
     ns = _RESOLUTIONS["quick" if quick else "full"]
 
     def th(default: float) -> float:
@@ -351,9 +360,7 @@ def run_verify(quick: bool = False, tol: float | None = None) -> list[Claim]:
     # --- transform roundtrips
     gsrc = gaussian_test_field(tn)
     back = lct_inverse(forward(gsrc, four, fbox), gsrc.spec)
-    num = float(np.sqrt(np.sum((back.values - gsrc.values) ** 2)))
-    dnm = float(np.sqrt(np.sum(gsrc.values ** 2)))
-    rel_f = num / dnm
+    rel_f = _rel_l2(back, gsrc)
     claims.append(Claim(
         "definition2.roundtrip_fourier",
         "inverse(forward(f)) = f (Fourier parameters)",
@@ -365,13 +372,13 @@ def run_verify(quick: bool = False, tol: float | None = None) -> list[Claim]:
     sp = TransformParams(shear, shear)
     wide = GridSpec(-12.0, 12.0, -12.0, 12.0, tn, tn)
     back_s = lct_inverse(forward(gsrc, sp, wide), gsrc.spec)
-    rel_s = float(np.sqrt(np.sum((back_s.values - gsrc.values) ** 2))) / dnm
+    rel_s = _rel_l2(back_s, gsrc)
     claims.append(Claim(
         "definition2.roundtrip_shear",
         "inverse(forward(f)) = f (shear parameters (1, 0.5, 0, 1))",
         f"relative L2 error {_fmt(rel_s)}",
         "reproduced", True, rel_s <= th(1e-2),
-        f"frequency box widened to [-12,12]^2 to cover chirp spreading"))
+        "frequency box widened to [-12,12]^2 to cover chirp spreading"))
 
     # --- Theorems 2-3: convolution and correlation
     cn = ns["conv"]
@@ -477,8 +484,7 @@ def run_verify(quick: bool = False, tol: float | None = None) -> list[Claim]:
     cf_s = charfn(sep, pfreq)
     x1 = sep.spec.x1_nodes()
     x2 = sep.spec.x2_nodes()
-    w1 = quad_weights_1d(sep.spec.n1, sep.spec.h1)
-    w2 = quad_weights_1d(sep.spec.n2, sep.spec.h2)
+    w1, w2 = _axis_weights(sep.spec)
     f1d = np.exp(-x1 ** 2 / 2.0) / math.sqrt(2.0 * math.pi)
     f2d = np.exp(-x2 ** 2 / (2.0 * 1.5 ** 2)) / (1.5 * math.sqrt(2.0 * math.pi))
     phi1 = np.exp(1j * np.outer(pfreq.x1_nodes(), x1)) @ (w1 * f1d)
@@ -496,8 +502,7 @@ def run_verify(quick: bool = False, tol: float | None = None) -> list[Claim]:
     # --- Property 5: inversion
     cf_inv = charfn(gpdf, GridSpec(-8.0, 8.0, -8.0, 8.0, tn, tn))
     rec = invert_charfn(cf_inv, gpdf.spec)
-    rel_inv = float(np.sqrt(np.sum((rec.values - gpdf.values) ** 2))
-                    / np.sqrt(np.sum(gpdf.values ** 2)))
+    rel_inv = _rel_l2(rec, gpdf)
     claims.append(Claim(
         "property5.inversion",
         "f recovered from phi with constant 1/(2pi)^2",

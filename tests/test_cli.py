@@ -135,6 +135,27 @@ def test_verify_impossible_tolerance_exits_4(tmp_path):
     assert main(["verify", "--quick", "--tol", "1e-30"]) == 4
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_verify_invalid_tolerance_exits_3_without_a_ledger(tol, capsys):
+    # no threshold can be compared with NaN, and none is negative: the
+    # value is a config error, caught before any claim is computed
+    assert main(["verify", "--quick", "--tol", tol]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "tol" in captured.err
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1e-9])
+def test_run_verify_rejects_invalid_tolerance_before_any_check(
+        tol, monkeypatch):
+    def unreachable(n):
+        raise AssertionError("a check ran before the tolerance was checked")
+
+    monkeypatch.setattr(verify, "example1_numerator", unreachable)
+    with pytest.raises(ValueError, match="tol"):
+        verify.run_verify(quick=True, tol=tol)
+
+
 def test_verify_loose_tolerance_changes_nothing(tmp_path, capsys):
     # --tol only tightens: a loose value judges every claim at its
     # default threshold, so the ledger is the default one, byte for byte

@@ -120,14 +120,14 @@ def _four_product_sandwich(values: np.ndarray, kl: np.ndarray,
 def _dense(side) -> np.ndarray:
     """The (m, n) kernel post(t) e^{σ u β s t} pre(s) of a factored side,
     its core unfolded from the s >= 0, t >= 0 quarter by the parity of
-    cos and sin."""
+    cos and sin (σ sits in the sign of sin)."""
     def mirror(count):
         k = 2 * np.arange(count) - (count - 1)  # 2 s / spacing
         return np.abs(k) // 2, np.sign(k)
 
     (ip, sp), (iq, sq) = mirror(len(side.pre)), mirror(len(side.post))
     core = (side.cos[np.ix_(ip, iq)]
-            + side.sigma * 1j * np.outer(sp, sq) * side.sin[np.ix_(ip, iq)])
+            + 1j * np.outer(sp, sq) * side.sin[np.ix_(ip, iq)])
     return (side.pre[:, None] * core * side.post[None, :]).T
 
 
