@@ -187,8 +187,8 @@ def integrate(f: SampledField) -> Quaternion:
 
 def l2_norm(f: SampledField) -> float:
     """L2 norm sqrt( integral |f|^2 )."""
-    sq = np.sum(f.values ** 2, axis=-1)
-    return float(np.sqrt(_quadrature(sq, *_axis_weights(f.spec))))
+    return float(np.sqrt(_quadrature(_sqmod(f.values),
+                                     *_axis_weights(f.spec))))
 
 
 def inner_product(f: SampledField, g: SampledField) -> Quaternion:
@@ -212,7 +212,14 @@ def qconj_values(q: np.ndarray) -> np.ndarray:
 
 def qnorm_values(q: np.ndarray) -> np.ndarray:
     """Pointwise modulus of a (..., 4) component array."""
-    return np.sqrt(np.sum(q ** 2, axis=-1))
+    return np.sqrt(_sqmod(q))
+
+
+def _sqmod(q: np.ndarray) -> np.ndarray:
+    """Pointwise squared modulus q0^2 + q1^2 + q2^2 + q3^2, summed left
+    to right with no (..., 4) temporary."""
+    q0, q1, q2, q3 = np.moveaxis(q, -1, 0)
+    return q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3
 
 
 def _origin_offset(spec: GridSpec) -> tuple[int, int]:

@@ -13,12 +13,17 @@ value and a verdict from a fixed vocabulary:
 The suite is deterministic: fixtures are built from closed-form
 formulas on fixed grids, no randomness and no timestamps, so two runs
 emit byte-identical ledgers.
+
+Each section of the ledger is one private function that builds its
+own fixtures and returns its claims, so a run holds one section's
+grids at a time; a full run peaks at the Example 1 fixture build.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -26,8 +31,8 @@ import numpy as np
 from .field import (GridSpec, SampledField, _axis_weights, integrate,
                     quad_weights_1d)
 from .lct import LctParams, TransformParams, fourier_params, kernel_i
-from .prob import (charfn, charfn_properties, covariance, expectation,
-                   fd_moment, invert_charfn, validate_qpdf)
+from .prob import (MomentReport, charfn, charfn_properties, covariance,
+                   expectation, fd_moment, invert_charfn, validate_qpdf)
 from .quaternion import Quaternion, exp_i, inverse, mul, norm
 from .transform import (forward, inverse as lct_inverse, parseval_ratio,
                         product_residuals)
@@ -275,6 +280,13 @@ _RESOLUTIONS = {
               "conv": 65, "freq": 41},
 }
 
+# the shear (1, 0.5, 0, 1) on both axes
+_SHEAR = TransformParams(LctParams(1.0, 0.5, 0.0, 1.0),
+                         LctParams(1.0, 0.5, 0.0, 1.0))
+
+# a section's pass threshold: run_verify's default-or-tol rule
+_Threshold = Callable[[float], float]
+
 
 def run_verify(quick: bool = False, tol: float | None = None) -> list[Claim]:
     """Run every check and return the ledger claims in a fixed order.
@@ -291,10 +303,16 @@ def run_verify(quick: bool = False, tol: float | None = None) -> list[Claim]:
     def th(default: float) -> float:
         return default if tol is None else min(tol, default)
 
-    claims: list[Claim] = []
-    four = fourier_params()
+    example1, mr_1 = _example1(ns, th)
+    return (example1 + _transform_roundtrips(ns, th) + _products(ns, th)
+            + _charfn_properties(ns, th) + _example2(ns, th)
+            + _covariances(ns, th, mr_1))
 
-    # --- Example 1: moments, quotient, normalization audit
+
+def _example1(ns: dict, th: _Threshold) -> tuple[list[Claim], MomentReport]:
+    """Example 1: moments, quotient, normalization audit.  Also returns
+    the density's covariance report for definition7.commutator."""
+    claims: list[Claim] = []
     f1 = example1_numerator(ns["ex1"])
     m1 = expectation(f1, "x1")
     m1_oracle = Quaternion(44.0 / 3.0, 8.0 / 3.0, 16.0 / 3.0, 12.0)
@@ -341,7 +359,13 @@ def run_verify(quick: bool = False, tol: float | None = None) -> list[Claim]:
         "component is negative where x2 > x1 and no component has unit "
         "mass; operations therefore accept raw fields (relaxed mode)"))
 
-    # --- Theorem 1: Plancherel constant
+    return claims, covariance(f1)
+
+
+def _transform_roundtrips(ns: dict, th: _Threshold) -> list[Claim]:
+    """Theorem 1 (Plancherel constant) and the Definition 2 roundtrips."""
+    claims: list[Claim] = []
+    four = fourier_params()
     tn = ns["transform"]
     fbox = GridSpec(-8.0, 8.0, -8.0, 8.0, tn, tn)
     r1 = parseval_ratio(gaussian_test_field(tn), four, fbox)
@@ -357,7 +381,7 @@ def run_verify(quick: bool = False, tol: float | None = None) -> list[Claim]:
         "unitary; the measured function-independent constant is 1, "
         "not (2pi)^2"))
 
-    # --- transform roundtrips
+    # Definition 2: transform roundtrips
     gsrc = gaussian_test_field(tn)
     back = lct_inverse(forward(gsrc, four, fbox), gsrc.spec)
     rel_f = _rel_l2(back, gsrc)
@@ -368,10 +392,8 @@ def run_verify(quick: bool = False, tol: float | None = None) -> list[Claim]:
         "reproduced", True, rel_f <= th(1e-3),
         f"gaussian on [-8,8]^2 at {tn}^2; unit-conjugated kernels"))
 
-    shear = LctParams(1.0, 0.5, 0.0, 1.0)
-    sp = TransformParams(shear, shear)
     wide = GridSpec(-12.0, 12.0, -12.0, 12.0, tn, tn)
-    back_s = lct_inverse(forward(gsrc, sp, wide), gsrc.spec)
+    back_s = lct_inverse(forward(gsrc, _SHEAR, wide), gsrc.spec)
     rel_s = _rel_l2(back_s, gsrc)
     claims.append(Claim(
         "definition2.roundtrip_shear",
@@ -380,7 +402,13 @@ def run_verify(quick: bool = False, tol: float | None = None) -> list[Claim]:
         "reproduced", True, rel_s <= th(1e-2),
         "frequency box widened to [-12,12]^2 to cover chirp spreading"))
 
-    # --- Theorems 2-3: convolution and correlation
+    return claims
+
+
+def _products(ns: dict, th: _Threshold) -> list[Claim]:
+    """Theorems 2-3: convolution and correlation."""
+    claims: list[Claim] = []
+    four = fourier_params()
     cn = ns["conv"]
     cfreq = GridSpec(-5.0, 5.0, -5.0, 5.0, ns["freq"], ns["freq"])
     fs, gs = structured_pair(cn)
@@ -399,7 +427,7 @@ def run_verify(quick: bool = False, tol: float | None = None) -> list[Claim]:
         "relative residual of exactly 1"))
 
     fg, gg = generic_pair(cn)
-    gen_conv, _ = product_residuals(fg, gg, sp, cfreq)
+    gen_conv, _ = product_residuals(fg, gg, _SHEAR, cfreq)
     claims.append(Claim(
         "theorem2.convolution_generic",
         "no validity claim (kernel additivity and commutation both fail)",
@@ -419,14 +447,22 @@ def run_verify(quick: bool = False, tol: float | None = None) -> list[Claim]:
         "reproduced-with-different-constant", True, ok,
         "same constant-phase factor as the convolution identity"))
 
-    gen_corr, _ = product_residuals(fg, gg, sp, cfreq, correlation=True)
+    gen_corr, _ = product_residuals(fg, gg, _SHEAR, cfreq, correlation=True)
     claims.append(Claim(
         "theorem3.correlation_generic",
         "no validity claim",
         f"residual {_fmt(gen_corr)}",
         "diagnostic-only", True, math.isfinite(gen_corr), ""))
 
-    # --- characteristic function properties (fourier mode, real PDFs)
+
+    return claims
+
+
+def _charfn_properties(ns: dict, th: _Threshold) -> list[Claim]:
+    """Characteristic function properties (fourier mode, real PDFs):
+    Properties 1, 3, 5 and 6, Theorems 4, 5 and 8."""
+    claims: list[Claim] = []
+    tn = ns["transform"]
     pn = ns["pdf"]
     qn = ns["freq"]
     pfreq = GridSpec(-4.0, 4.0, -4.0, 4.0, qn, qn)
@@ -479,7 +515,7 @@ def run_verify(quick: bool = False, tol: float | None = None) -> list[Claim]:
         "empirical small-shift test with Lipschitz constant "
         "integral |x1| |f| dx"))
 
-    # --- Theorem 5: factorization for real separable marginals
+    # Theorem 5: factorization for real separable marginals
     sep = gaussian_pdf(tn, s1=1.0, s2=1.5)
     cf_s = charfn(sep, pfreq)
     x1 = sep.spec.x1_nodes()
@@ -499,7 +535,7 @@ def run_verify(quick: bool = False, tol: float | None = None) -> list[Claim]:
         "real gaussian marginals (sigma 1 and 1.5); real marginals "
         "commute with both kernels"))
 
-    # --- Property 5: inversion
+    # Property 5: inversion
     cf_inv = charfn(gpdf, GridSpec(-8.0, 8.0, -8.0, 8.0, tn, tn))
     rec = invert_charfn(cf_inv, gpdf.spec)
     rel_inv = _rel_l2(rec, gpdf)
@@ -511,7 +547,7 @@ def run_verify(quick: bool = False, tol: float | None = None) -> list[Claim]:
         "fourier mode carries no kernel amplitude, so here the "
         "(2pi)^2 constant is correct as stated"))
 
-    # --- Property 6: moments from finite differences
+    # Property 6: moments from finite differences
     e1 = expectation(upd, "x1")
     fd10 = fd_moment(upd, 1, 0, 1e-3)
     fd11 = fd_moment(upd, 1, 1, 1e-3)
@@ -531,8 +567,14 @@ def run_verify(quick: bool = False, tol: float | None = None) -> list[Claim]:
         "(FD) j^{-n}; the stated recursion of the derivative theorem "
         "is not computable as printed"))
 
-    # --- Example 2
-    n1d = ns["ex1"]
+    return claims
+
+
+def _example2(ns: dict, th: _Threshold) -> list[Claim]:
+    """Example 2: moment integral, characteristic function, kernel."""
+    claims: list[Claim] = []
+    four = fourier_params()
+    n1d = ns["ex2"]
     w1d = quad_weights_1d(n1d, 1.0 / (n1d - 1))
     x1d = np.linspace(0.0, 1.0, n1d)
     m_num = complex(np.sum(w1d * x1d * np.exp(-1j * x1d)))
@@ -585,7 +627,16 @@ def run_verify(quick: bool = False, tol: float | None = None) -> list[Claim]:
         "the defining kernel keeps the constant -pi/4 phase that the "
         "worked example drops"))
 
-    # --- Definition 7 and covariance properties
+    return claims
+
+
+def _covariances(ns: dict, th: _Threshold,
+                 mr_1: MomentReport) -> list[Claim]:
+    """Definition 7 and the covariance properties; mr_1 is the Example 1
+    density's covariance report."""
+    claims: list[Claim] = []
+    pn = ns["pdf"]
+    upd = uniform_pdf(pn)
     mr_u = covariance(upd)
     cov_norm = max(norm(mr_u.cov_12), norm(mr_u.cov_21))
     var_err = _qdiff(mr_u.var_x1, Quaternion(1.0 / 12.0))
@@ -596,7 +647,6 @@ def run_verify(quick: bool = False, tol: float | None = None) -> list[Claim]:
         "reproduced", True,
         cov_norm <= th(1e-8) and var_err <= th(1e-8), ""))
 
-    mr_1 = covariance(f1)
     delta = mr_1.cov_12 - mr_1.cov_21
     comm = mul(mr_1.e_x2, mr_1.e_x1) - mul(mr_1.e_x1, mr_1.e_x2)
     err_c = _qdiff(delta, comm)
@@ -652,6 +702,7 @@ def run_verify(quick: bool = False, tol: float | None = None) -> list[Claim]:
         "not-reproduced", False, True,
         "real scaling enters linearly, Cov(aX, Y) = a Cov(X, Y); the "
         "stated a^2 law is not reproduced"))
+
 
     return claims
 

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from qlct2d.field import (GridSpec, SampledField, convolve, inner_product,
-                          integrate, l2_norm, qmul_values, quad_weights_1d,
-                          sample)
+                          integrate, l2_norm, qmul_values, qnorm_values,
+                          quad_weights_1d, sample)
 from qlct2d.quaternion import Quaternion, isclose
 
 
@@ -143,6 +143,20 @@ def test_l2_and_inner_product():
     assert isclose(inner_product(fi, fi), Quaternion(1.0))
     # <i, j> = i * (-j) = -k
     assert isclose(inner_product(fi, fj), Quaternion(0.0, 0.0, 0.0, -1.0))
+
+
+def test_modulus_sums_squares_left_to_right():
+    # the squared modulus adds q0^2 + q1^2 + q2^2 + q3^2 in that order,
+    # bit for bit what a sum over the component axis gives, also on a
+    # strided view
+    q = np.random.default_rng(3).standard_normal((33, 17, 4))
+    for v in (q, np.diff(q, axis=0), q[0, 0]):
+        assert (qnorm_values(v).tobytes()
+                == np.sqrt(np.sum(v ** 2, axis=-1)).tobytes())
+    f = SampledField(GridSpec(0.0, 1.0, 0.0, 2.0, 33, 17), q)
+    sq = np.sum(q ** 2, axis=-1)[..., None] * np.array([1.0, 0.0, 0.0, 0.0])
+    assert l2_norm(f) == pytest.approx(
+        math.sqrt(integrate(SampledField(f.spec, sq)).q0), rel=1e-14)
 
 
 def test_left_constant_linearity_of_integrate():
