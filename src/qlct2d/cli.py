@@ -5,7 +5,9 @@ are CSV (with a JSON sidecar header) or single-file JSON; parameters
 are JSON files with per-axis unimodular matrices.
 
 Exit codes: 0 success, 2 input/parse error, 3 config/invariant
-violation, 4 verification failure.
+violation, 4 verification failure.  Each subcommand parses its options
+before it reads its input file, so a bad option exits before any large
+allocation.
 """
 
 from __future__ import annotations
@@ -35,11 +37,11 @@ class VerificationFailure(Exception):
     """A required verification check did not pass."""
 
 
-def _parse_grid(text: str) -> GridSpec:
+def _parse_grid(option: str, text: str) -> GridSpec:
     parts = text.split(",")
     if len(parts) != 6:
         raise ValueError(
-            f"--grid expects x1min,x1max,x2min,x2max,n1,n2 (got {text!r})")
+            f"{option} expects x1min,x1max,x2min,x2max,n1,n2 (got {text!r})")
     return GridSpec.from_dict(
         dict(zip((f.name for f in fields(GridSpec)), parts)))
 
@@ -74,35 +76,36 @@ def _load_params(path: str) -> TransformParams:
 
 
 def _cmd_transform(args) -> int:
-    f = read_field(args.input)
     params = _load_params(args.params) if args.params else fourier_params()
+    freq = args.freq_grid and _parse_grid("--freq-grid", args.freq_grid)
+    f = read_field(args.input)
     # the frequency grid defaults to the spatial grid box
-    freq = _parse_grid(args.freq_grid) if args.freq_grid else f.spec
-    s = forward(f, params, freq)
+    s = forward(f, params, freq or f.spec)
     write_spectrum(s, args.out, args.format)
     return EXIT_OK
 
 
 def _cmd_invert(args) -> int:
-    s = read_spectrum(args.input)
-    if args.params:
-        s = type(s)(s.spec, s.values, _load_params(args.params))
     if args.grid is None:
         raise ValueError("invert requires --grid for the output box")
-    space = _parse_grid(args.grid)
+    space = _parse_grid("--grid", args.grid)
+    params = _load_params(args.params) if args.params else None
+    s = read_spectrum(args.input)
+    if params is not None:
+        s = type(s)(s.spec, s.values, params)
     f = inverse(s, space)
     write_field(f, args.out, args.format)
     return EXIT_OK
 
 
 def _cmd_charfn(args) -> int:
-    f = read_field(args.input)
     if args.freq_grid is None:
         raise ValueError("charfn requires --freq-grid")
-    freq = _parse_grid(args.freq_grid)
+    freq = _parse_grid("--freq-grid", args.freq_grid)
     params = _load_params(args.params) if args.params else None
     if args.mode == "lct" and params is None:
         params = fourier_params()
+    f = read_field(args.input)
     cf = charfn(f, freq, mode=args.mode, params=params)
     write_spectrum(cf.spectrum, args.out, args.format)
     return EXIT_OK

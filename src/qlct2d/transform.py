@@ -230,10 +230,15 @@ def inverse(s: Spectrum, space: GridSpec) -> SampledField:
 def parseval_ratio(f: SampledField, params: TransformParams,
                    freq: GridSpec) -> float:
     """Measured (spectrum energy) / (field energy); no constant asserted."""
+    return _energy_ratio(f, forward(f, params, freq))
+
+
+def _energy_ratio(f: SampledField, s: Spectrum) -> float:
+    """(energy of s) / (energy of f), for a spectrum s of f."""
     norm = l2_norm(f)
     if norm == 0.0:
         raise ValueError("parseval_ratio requires a nonzero field")
-    return (l2_norm(forward(f, params, freq)) / norm) ** 2
+    return (l2_norm(s) / norm) ** 2
 
 
 def correlate(f: SampledField, g: SampledField) -> SampledField:

@@ -15,8 +15,12 @@ formulas on fixed grids, no randomness and no timestamps, so two runs
 emit byte-identical ledgers.
 
 Each section of the ledger is one private function that builds its
-own fixtures and returns its claims, so a run holds one section's
-grids at a time; a full run peaks at the Example 1 fixture build.
+own fixtures, frees each grid once its claims' numbers are taken and
+returns its claims, so a run holds one section's grids at a time.
+Each fixture builder writes a component into its field before it
+computes the next, so a build holds the field and one component
+temporary.  A full run peaks at the 513^2 Example 1 field plus one of
+its components.
 """
 
 from __future__ import annotations
@@ -34,8 +38,8 @@ from .lct import LctParams, TransformParams, fourier_params, kernel_i
 from .prob import (MomentReport, charfn, charfn_properties, covariance,
                    expectation, fd_moment, invert_charfn, validate_qpdf)
 from .quaternion import Quaternion, exp_i, inverse, mul, norm
-from .transform import (forward, inverse as lct_inverse, parseval_ratio,
-                        product_residuals)
+from .transform import (_energy_ratio, forward, inverse as lct_inverse,
+                        parseval_ratio, product_residuals)
 
 __all__ = [
     "Claim",
@@ -87,11 +91,21 @@ def _mesh(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
 
 def _field(spec: GridSpec, *components) -> SampledField:
     """Field whose leading components (1, i, j, k order) are the given
-    arrays or scalars broadcast over the grid; the rest are zero."""
+    scalars or arrays broadcast over the grid, or zero-argument
+    callables that return one; the rest are zero.
+
+    Each callable runs only once the previous component sits in its
+    slice, so a build holds the field and one component temporary.
+    """
     v = np.zeros((spec.n1, spec.n2, 4))
     for m, comp in enumerate(components):
-        v[..., m] = comp
+        v[..., m] = comp() if callable(comp) else comp
     return SampledField(spec, v)
+
+
+def _exp(t: np.ndarray) -> np.ndarray:
+    """e^t, written over t's own buffer."""
+    return np.exp(t, out=t)
 
 
 def _ij(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -106,8 +120,8 @@ def example1_numerator(n: int) -> SampledField:
     """(2x1+x2) + i(x1^2-x2^2) + j x1 x2 + k(3x1-x2) on [0,2]^2."""
     spec = GridSpec(0.0, 2.0, 0.0, 2.0, n, n)
     x1, x2 = _mesh(spec)
-    return _field(spec, 2.0 * x1 + x2, x1 ** 2 - x2 ** 2, x1 * x2,
-                  3.0 * x1 - x2)
+    return _field(spec, lambda: 2.0 * x1 + x2, lambda: x1 ** 2 - x2 ** 2,
+                  lambda: x1 * x2, lambda: 3.0 * x1 - x2)
 
 
 def example2_density(n: int) -> SampledField:
@@ -122,8 +136,8 @@ def gaussian_pdf(n: int, box: float = 8.0, s1: float = 1.0,
     """Normalized real Gaussian density on [-box, box]^2."""
     spec = GridSpec(-box, box, -box, box, n, n)
     x1, x2 = _mesh(spec)
-    return _field(spec, np.exp(-x1 ** 2 / (2 * s1 ** 2)
-                               - x2 ** 2 / (2 * s2 ** 2))
+    return _field(spec, lambda: _exp(-x1 ** 2 / (2 * s1 ** 2)
+                                     - x2 ** 2 / (2 * s2 ** 2))
                   / (2.0 * math.pi * s1 * s2))
 
 
@@ -131,16 +145,29 @@ def gaussian_test_field(n: int, box: float = 8.0) -> SampledField:
     """Unnormalized Gaussian e^{-(x1^2+x2^2)/2} as a scalar field."""
     spec = GridSpec(-box, box, -box, box, n, n)
     x1, x2 = _mesh(spec)
-    return _field(spec, np.exp(-(x1 ** 2 + x2 ** 2) / 2.0))
+    return _field(spec, lambda: _exp(-(x1 ** 2 + x2 ** 2) / 2.0))
 
 
 def bump_field(n: int, box: float = 8.0) -> SampledField:
     """Smooth quaternion-valued bump, anisotropic and off-center."""
     spec = GridSpec(-box, box, -box, box, n, n)
     x1, x2 = _mesh(spec)
-    g = np.exp(-0.8 * (x1 - 0.7) ** 2 - 1.3 * (x2 + 0.4) ** 2)
-    return _field(spec, g, 0.5 * g * np.cos(x1), 0.3 * g * np.sin(x2),
-                  0.2 * g * x1 * x2 / (1.0 + x1 ** 2 + x2 ** 2))
+    v = np.zeros((n, n, 4))
+    # the envelope g is the 1 component; the others are g times small
+    # factors, applied in their own slices, so that the build holds one
+    # grid temporary at a time
+    g = v[..., 0]
+    g[...] = _exp(-0.8 * (x1 - 0.7) ** 2 - 1.3 * (x2 + 0.4) ** 2)
+    v[..., 1] = 0.5 * g
+    v[..., 1] *= np.cos(x1)
+    v[..., 2] = 0.3 * g
+    v[..., 2] *= np.sin(x2)
+    k = v[..., 3]
+    k[...] = 0.2 * g
+    k *= x1
+    k *= x2
+    k /= 1.0 + x1 ** 2 + x2 ** 2
+    return SampledField(spec, v)
 
 
 def uniform_pdf(n: int) -> SampledField:
@@ -157,14 +184,19 @@ def correlated_pdf(n: int, x1_min: float = 0.0) -> SampledField:
     spec = GridSpec(x1_min, x1_min + 1.0, 0.0, 1.0, n, n)
     t1 = np.linspace(0.0, 1.0, n)[:, None]
     _, x2 = _mesh(spec)
-    return _field(spec, (1.0 + t1 * x2) / 1.25)
+    return _field(spec, lambda: (1.0 + t1 * x2) / 1.25)
 
 
 def anticorrelated_pdf(n: int) -> SampledField:
     """1 - (x1-1/2)(x2-1/2) on [0,1]^2: negatively correlated."""
     spec = GridSpec(0.0, 1.0, 0.0, 1.0, n, n)
     x1, x2 = _mesh(spec)
-    return _field(spec, 1.0 - (x1 - 0.5) * (x2 - 0.5))
+
+    def density():
+        t = (x1 - 0.5) * (x2 - 0.5)
+        return np.subtract(1.0, t, out=t)  # 1 - t in t's buffer
+
+    return _field(spec, density)
 
 
 def constant_x1_pdf(n: int) -> SampledField:
@@ -191,17 +223,26 @@ def structured_pair(n: int, box: float = 6.0) -> tuple[SampledField, SampledFiel
     dc = np.exp(-x2 ** 2)
     dd = x2 * np.exp(-x2 ** 2)
     # (aa + i ab)(bc + j bd) = aa*bc + i ab*bc + j aa*bd + k ab*bd
-    return (_field(spec, aa * bc, ab * bc, aa * bd, ab * bd),
-            _field(spec, gamma * dc, 0.0, gamma * dd))
+    return (_field(spec, lambda: aa * bc, lambda: ab * bc, lambda: aa * bd,
+                   lambda: ab * bd),
+            _field(spec, lambda: gamma * dc, 0.0, lambda: gamma * dd))
 
 
 def generic_pair(n: int, box: float = 6.0) -> tuple[SampledField, SampledField]:
     """Non-commuting, non-separable pair with k-components."""
     spec = GridSpec(-box, box, -box, box, n, n)
     x1, x2 = _mesh(spec)
-    g1 = np.exp(-(x1 ** 2 + x2 ** 2) / 2.0)
-    g2 = np.exp(-((x1 - 0.5) ** 2 + x2 ** 2) / 2.0)
-    return (_field(spec, g1, 0.5 * g1 * x1, 0.3 * g1 * x2, 0.7 * g1 * x1 * x2),
+
+    # each component evaluates its envelope afresh, so no envelope
+    # outlives the component that uses it
+    def g1():
+        return _exp(-(x1 ** 2 + x2 ** 2) / 2.0)
+
+    def g2():
+        return _exp(-((x1 - 0.5) ** 2 + x2 ** 2) / 2.0)
+
+    return (_field(spec, g1, lambda: 0.5 * g1() * x1,
+                   lambda: 0.3 * g1() * x2, lambda: 0.7 * g1() * x1 * x2),
             _field(spec, g2, 0.0, 0.0, g2))
 
 
@@ -305,8 +346,8 @@ def run_verify(quick: bool = False, tol: float | None = None) -> list[Claim]:
 
     example1, mr_1 = _example1(ns, th)
     return (example1 + _transform_roundtrips(ns, th) + _products(ns, th)
-            + _charfn_properties(ns, th) + _example2(ns, th)
-            + _covariances(ns, th, mr_1))
+            + _charfn_properties(ns, th) + _fd_moments(ns, th)
+            + _example2(ns, th) + _covariances(ns, th, mr_1))
 
 
 def _example1(ns: dict, th: _Threshold) -> tuple[list[Claim], MomentReport]:
@@ -368,7 +409,13 @@ def _transform_roundtrips(ns: dict, th: _Threshold) -> list[Claim]:
     four = fourier_params()
     tn = ns["transform"]
     fbox = GridSpec(-8.0, 8.0, -8.0, 8.0, tn, tn)
-    r1 = parseval_ratio(gaussian_test_field(tn), four, fbox)
+    # one forward transform of the gaussian serves Theorem 1 and the
+    # Fourier roundtrip
+    gsrc = gaussian_test_field(tn)
+    gspec = forward(gsrc, four, fbox)
+    r1 = _energy_ratio(gsrc, gspec)
+    rel_f = _rel_l2(lct_inverse(gspec, gsrc.spec), gsrc)
+    del gspec
     r2 = parseval_ratio(bump_field(tn), four, fbox)
     ok = abs(r1 - r2) <= th(1e-3) and abs(r1 - 1.0) <= th(1e-3)
     claims.append(Claim(
@@ -382,9 +429,6 @@ def _transform_roundtrips(ns: dict, th: _Threshold) -> list[Claim]:
         "not (2pi)^2"))
 
     # Definition 2: transform roundtrips
-    gsrc = gaussian_test_field(tn)
-    back = lct_inverse(forward(gsrc, four, fbox), gsrc.spec)
-    rel_f = _rel_l2(back, gsrc)
     claims.append(Claim(
         "definition2.roundtrip_fourier",
         "inverse(forward(f)) = f (Fourier parameters)",
@@ -393,8 +437,8 @@ def _transform_roundtrips(ns: dict, th: _Threshold) -> list[Claim]:
         f"gaussian on [-8,8]^2 at {tn}^2; unit-conjugated kernels"))
 
     wide = GridSpec(-12.0, 12.0, -12.0, 12.0, tn, tn)
-    back_s = lct_inverse(forward(gsrc, _SHEAR, wide), gsrc.spec)
-    rel_s = _rel_l2(back_s, gsrc)
+    rel_s = _rel_l2(lct_inverse(forward(gsrc, _SHEAR, wide), gsrc.spec),
+                    gsrc)
     claims.append(Claim(
         "definition2.roundtrip_shear",
         "inverse(forward(f)) = f (shear parameters (1, 0.5, 0, 1))",
@@ -460,7 +504,7 @@ def _products(ns: dict, th: _Threshold) -> list[Claim]:
 
 def _charfn_properties(ns: dict, th: _Threshold) -> list[Claim]:
     """Characteristic function properties (fourier mode, real PDFs):
-    Properties 1, 3, 5 and 6, Theorems 4, 5 and 8."""
+    Properties 1, 3 and 5, Theorems 4, 5 and 8."""
     claims: list[Claim] = []
     tn = ns["transform"]
     pn = ns["pdf"]
@@ -514,6 +558,7 @@ def _charfn_properties(ns: dict, th: _Threshold) -> list[Claim]:
         "reproduced", True, bool(props_g["continuity_satisfied"]),
         "empirical small-shift test with Lipschitz constant "
         "integral |x1| |f| dx"))
+    del upd, cf_u, cf_g
 
     # Theorem 5: factorization for real separable marginals
     sep = gaussian_pdf(tn, s1=1.0, s2=1.5)
@@ -534,10 +579,11 @@ def _charfn_properties(ns: dict, th: _Threshold) -> list[Claim]:
         "reproduced", True, fac_err <= th(1e-6),
         "real gaussian marginals (sigma 1 and 1.5); real marginals "
         "commute with both kernels"))
+    del sep, cf_s
 
     # Property 5: inversion
-    cf_inv = charfn(gpdf, GridSpec(-8.0, 8.0, -8.0, 8.0, tn, tn))
-    rec = invert_charfn(cf_inv, gpdf.spec)
+    rec = invert_charfn(charfn(gpdf, GridSpec(-8.0, 8.0, -8.0, 8.0, tn, tn)),
+                        gpdf.spec)
     rel_inv = _rel_l2(rec, gpdf)
     claims.append(Claim(
         "property5.inversion",
@@ -547,7 +593,13 @@ def _charfn_properties(ns: dict, th: _Threshold) -> list[Claim]:
         "fourier mode carries no kernel amplitude, so here the "
         "(2pi)^2 constant is correct as stated"))
 
-    # Property 6: moments from finite differences
+    return claims
+
+
+def _fd_moments(ns: dict, th: _Threshold) -> list[Claim]:
+    """Property 6: moments from finite differences of the characteristic
+    function."""
+    upd = uniform_pdf(ns["pdf"])
     e1 = expectation(upd, "x1")
     fd10 = fd_moment(upd, 1, 0, 1e-3)
     fd11 = fd_moment(upd, 1, 1, 1e-3)
@@ -557,7 +609,7 @@ def _charfn_properties(ns: dict, th: _Threshold) -> list[Claim]:
     ok = (_qdiff(fd10, Quaternion(0.5)) <= th(1e-5)
           and _qdiff(fd11, Quaternion(0.25)) <= th(1e-4)
           and factor >= 3.5)
-    claims.append(Claim(
+    return [Claim(
         "property6.fd_moments",
         "E[X1^m X2^n] from derivatives of phi at the origin",
         f"fd(1,0) = {_fmt_q(fd10)}, fd(1,1) = {_fmt_q(fd11)}, "
@@ -565,9 +617,7 @@ def _charfn_properties(ns: dict, th: _Threshold) -> list[Claim]:
         "reproduced", True, ok,
         "uniform density on [0,1]^2; sandwich correction i^{-m} "
         "(FD) j^{-n}; the stated recursion of the derivative theorem "
-        "is not computable as printed"))
-
-    return claims
+        "is not computable as printed")]
 
 
 def _example2(ns: dict, th: _Threshold) -> list[Claim]:

@@ -222,6 +222,19 @@ def test_invert_without_grid_exits_3(tmp_path):
                  "--out", str(tmp_path / "o.csv")]) == 3
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["invert", "missing.json"], "--grid"),
+    (["charfn", "missing.csv"], "--freq-grid"),
+    (["transform", "missing.csv", "--freq-grid=1,2,3"], "--freq-grid"),
+], ids=["invert-grid", "charfn-freq-grid", "transform-freq-grid"])
+def test_grid_option_is_checked_before_the_input_is_read(
+        tmp_path, monkeypatch, capsys, argv, option):
+    # the input file does not exist, but the grid option fails first
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--out", "o.json"]) == 3
+    assert option in capsys.readouterr().err
+
+
 def test_malformed_grid_argument_exits_3(tmp_path):
     f = _gaussian(17, 2.0)
     src = str(tmp_path / "f.csv")
