@@ -14,13 +14,14 @@ The suite is deterministic: fixtures are built from closed-form
 formulas on fixed grids, no randomness and no timestamps, so two runs
 emit byte-identical ledgers.
 
-Each section of the ledger is one private function that builds its
-own fixtures, frees each grid once its claims' numbers are taken and
-returns its claims, so a run holds one section's grids at a time.
-Each fixture builder writes a component into its field before it
-computes the next, so a build holds the field and one component
-temporary.  A full run peaks at the 513^2 Example 1 field plus one of
-its components.
+Each section of the ledger is one private function.  It builds its
+fixtures and takes its numbers, freeing each grid once used, so a run
+holds one section's grids at a time; then it returns its claims as one
+list of claim(...) entries.  run_verify's claim constructor is the one
+place that applies tol, and _text the one place a measured value
+becomes ledger text.  Each fixture builder writes a component into its
+field before it computes the next, so a full run peaks at the 513^2
+Example 1 field plus one of its components.
 """
 
 from __future__ import annotations
@@ -62,14 +63,6 @@ class Claim:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def _fmt_q(q: Quaternion) -> str:
-    return (f"({_fmt(q.q0)}, {_fmt(q.q1)}, {_fmt(q.q2)}, {_fmt(q.q3)})")
 
 
 def _qdiff(p: Quaternion, q: Quaternion) -> float:
@@ -216,16 +209,15 @@ def structured_pair(n: int, box: float = 6.0) -> tuple[SampledField, SampledFiel
     spec = GridSpec(-box, box, -box, box, n, n)
     x1, x2 = _mesh(spec)
     aa = np.exp(-x1 ** 2)
-    ab = x1 * np.exp(-x1 ** 2)
+    ab = x1 * aa
     bc = np.exp(-x2 ** 2)
-    bd = 0.5 * np.exp(-x2 ** 2)
+    bd = 0.5 * bc
     gamma = np.exp(-2.0 * x1 ** 2)
-    dc = np.exp(-x2 ** 2)
-    dd = x2 * np.exp(-x2 ** 2)
+    dd = x2 * bc
     # (aa + i ab)(bc + j bd) = aa*bc + i ab*bc + j aa*bd + k ab*bd
     return (_field(spec, lambda: aa * bc, lambda: ab * bc, lambda: aa * bd,
                    lambda: ab * bd),
-            _field(spec, lambda: gamma * dc, 0.0, lambda: gamma * dd))
+            _field(spec, lambda: gamma * bc, 0.0, lambda: gamma * dd))
 
 
 def generic_pair(n: int, box: float = 6.0) -> tuple[SampledField, SampledField]:
@@ -284,8 +276,7 @@ def example2_charfn_oracle(freq: GridSpec) -> np.ndarray:
     e_i = e^{-i pi/4}, e_j = e^{-j pi/4}, and the complex factors embed
     in span{1,i} or span{1,j} along their own axes.
     """
-    u = freq.x1_nodes()
-    v = freq.x2_nodes()
+    u, v = freq.x1_nodes(), freq.x2_nodes()
     ei = np.exp(-1j * math.pi / 4.0)
     du = _moment_factor(u) * ei
     cu_conj = np.conj(_mass_factor(u) * ei)
@@ -302,8 +293,7 @@ def example2_charfn_oracle(freq: GridSpec) -> np.ndarray:
 def example2_paper_formula(freq: GridSpec) -> np.ndarray:
     """The paper's printed final formula for Example 2, as stated:
     (1/2pi) [(1 - e^{-iu} + iu)/u^2]_i [(1 - e^{-jv} + jv)/v^2]_j."""
-    u = freq.x1_nodes()
-    v = freq.x2_nodes()
+    u, v = freq.x1_nodes(), freq.x2_nodes()
 
     def factor(t):
         return _removable(t, 0.5,
@@ -315,18 +305,30 @@ def example2_paper_formula(freq: GridSpec) -> np.ndarray:
 # claim evaluation
 
 _RESOLUTIONS = {
-    "full": {"ex1": 513, "ex2": 513, "pdf": 201, "transform": 257,
-             "conv": 129, "freq": 81},
-    "quick": {"ex1": 129, "ex2": 129, "pdf": 101, "transform": 129,
-              "conv": 65, "freq": 41},
+    "full": dict(ex1=513, ex2=513, pdf=201, transform=257, conv=129, freq=81),
+    "quick": dict(ex1=129, ex2=129, pdf=101, transform=129, conv=65, freq=41),
 }
 
-# the shear (1, 0.5, 0, 1) on both axes
+# the Fourier parameters, and the shear (1, 0.5, 0, 1) on both axes
+_FOURIER = fourier_params()
 _SHEAR = TransformParams(LctParams(1.0, 0.5, 0.0, 1.0),
                          LctParams(1.0, 0.5, 0.0, 1.0))
 
-# a section's pass threshold: run_verify's default-or-tol rule
-_Threshold = Callable[[float], float]
+# a section's claim constructor: run_verify's claim
+_Make = Callable[..., Claim]
+
+
+def _text(x) -> str:
+    """A measured value as ledger text: a float's repr, a quaternion's
+    four component reprs, a + bi for a complex number, a tuple of such
+    texts, and an int (a node count) as written."""
+    if isinstance(x, Quaternion):
+        return "(" + ", ".join(map(_text, x.components())) + ")"
+    if isinstance(x, complex):
+        return f"{_text(x.real)} + {_text(x.imag)}i"
+    if isinstance(x, tuple):
+        return str(tuple(map(_text, x)))
+    return str(x) if isinstance(x, int) else repr(float(x))
 
 
 def run_verify(quick: bool = False, tol: float | None = None) -> list[Claim]:
@@ -341,230 +343,173 @@ def run_verify(quick: bool = False, tol: float | None = None) -> list[Claim]:
         raise ValueError(f"tol must be a nonnegative number, got {tol!r}")
     ns = _RESOLUTIONS["quick" if quick else "full"]
 
-    def th(default: float) -> float:
-        return default if tol is None else min(tol, default)
+    def claim(claim_id: str, verdict: str, required: bool, stated: str,
+              measured: str, detail: str = "", tols=(), ok: bool = True,
+              **values) -> Claim:
+        """The Claim whose measured and detail texts are %(name)s
+        templates over values, each rendered by _text.  It passes when
+        ok holds and value <= min(tol, default) for each (value,
+        default) pair in tols: the one place tol is read."""
+        text = {name: _text(v) for name, v in values.items()}
+        passed = ok and all(v <= (d if tol is None else min(tol, d))
+                            for v, d in tols)
+        return Claim(claim_id, stated, measured % text, verdict, required,
+                     passed, detail % text)
 
-    example1, mr_1 = _example1(ns, th)
-    return (example1 + _transform_roundtrips(ns, th) + _products(ns, th)
-            + _charfn_properties(ns, th) + _fd_moments(ns, th)
-            + _example2(ns, th) + _covariances(ns, th, mr_1))
+    example1, mr_1 = _example1(ns, claim)
+    return (example1 + _transform_roundtrips(ns, claim)
+            + _products(ns, claim) + _charfn_properties(ns, claim)
+            + _fd_moments(ns, claim) + _example2(ns, claim)
+            + _covariances(ns, claim, mr_1))
 
 
-def _example1(ns: dict, th: _Threshold) -> tuple[list[Claim], MomentReport]:
+def _example1(ns: dict, claim: _Make) -> tuple[list[Claim], MomentReport]:
     """Example 1: moments, quotient, normalization audit.  Also returns
     the density's covariance report for definition7.commutator."""
-    claims: list[Claim] = []
-    f1 = example1_numerator(ns["ex1"])
+    n = ns["ex1"]
+    f1 = example1_numerator(n)
     m1 = expectation(f1, "x1")
     m1_oracle = Quaternion(44.0 / 3.0, 8.0 / 3.0, 16.0 / 3.0, 12.0)
     err = _qdiff(m1, m1_oracle)
-    claims.append(Claim(
-        "example1.E_X1_numerator",
-        "integral x1 (2x1+x2, x1^2-x2^2, x1x2, 3x1-x2) over [0,2]^2 "
-        "= (44/3, 8/3, 16/3, 12)",
-        _fmt_q(m1), "reproduced", True, err <= th(1e-6),
-        f"max component error {_fmt(err)} at {ns['ex1']}^2 nodes"))
-
     den = Quaternion(20.0, 0.0, 4.0, 8.0)
     quot = mul(inverse(den), m1)
-    quot_oracle = mul(inverse(den), m1_oracle)
-    quot_right = mul(m1, inverse(den))
-    errq = _qdiff(quot, quot_oracle)
-    claims.append(Claim(
-        "example1.E_X1_quotient",
-        "E[X1] = (20+4j+8k)^{-1} (44/3 + 8/3 i + 16/3 j + 12 k), "
-        "left-inverse convention",
-        _fmt_q(quot), "reproduced", True, errq <= th(1e-6),
-        f"right-quotient alternative {_fmt_q(quot_right)}; "
-        f"max component error {_fmt(errq)}"))
-
+    errq = _qdiff(quot, mul(inverse(den), m1_oracle))
     total = integrate(f1)
-    total_oracle = Quaternion(12.0, 0.0, 4.0, 8.0)
-    errn = _qdiff(total, total_oracle)
-    claims.append(Claim(
-        "example1.normalization",
-        "normalizing denominator 20 + 4j + 8k",
-        _fmt_q(total), "not-reproduced", True, errn <= th(1e-6),
-        "the numerator integrates to (12, 0, 4, 8), not the stated "
-        "(20, 0, 4, 8); the quotient claim above uses the stated "
-        "denominator verbatim"))
-
     rep1 = validate_qpdf(f1)
-    claims.append(Claim(
-        "definition4.example1",
-        "every density component is a real PDF (nonnegative, unit mass)",
-        f"component integrals {tuple(_fmt(v) for v in rep1.component_integrals)}, "
-        f"minima {tuple(_fmt(v) for v in rep1.component_minima)}",
-        "not-reproduced", False, True,
-        "the Example 1 density violates the density axioms: the i "
-        "component is negative where x2 > x1 and no component has unit "
-        "mass; operations therefore accept raw fields (relaxed mode)"))
+    return [
+        claim("example1.E_X1_numerator", "reproduced", True,
+              "integral x1 (2x1+x2, x1^2-x2^2, x1x2, 3x1-x2) over [0,2]^2 "
+              "= (44/3, 8/3, 16/3, 12)",
+              "%(m1)s", "max component error %(err)s at %(n)s^2 nodes",
+              [(err, 1e-6)], m1=m1, err=err, n=n),
+        claim("example1.E_X1_quotient", "reproduced", True,
+              "E[X1] = (20+4j+8k)^{-1} (44/3 + 8/3 i + 16/3 j + 12 k), "
+              "left-inverse convention",
+              "%(quot)s", "right-quotient alternative %(right)s; "
+              "max component error %(errq)s",
+              [(errq, 1e-6)], quot=quot, right=mul(m1, inverse(den)),
+              errq=errq),
+        claim("example1.normalization", "not-reproduced", True,
+              "normalizing denominator 20 + 4j + 8k", "%(total)s",
+              "the numerator integrates to (12, 0, 4, 8), not the stated "
+              "(20, 0, 4, 8); the quotient claim above uses the stated "
+              "denominator verbatim",
+              [(_qdiff(total, Quaternion(12.0, 0.0, 4.0, 8.0)), 1e-6)],
+              total=total),
+        claim("definition4.example1", "not-reproduced", False,
+              "every density component is a real PDF "
+              "(nonnegative, unit mass)",
+              "component integrals %(mass)s, minima %(low)s",
+              "the Example 1 density violates the density axioms: the i "
+              "component is negative where x2 > x1 and no component has "
+              "unit mass; operations therefore accept raw fields "
+              "(relaxed mode)",
+              mass=rep1.component_integrals, low=rep1.component_minima),
+    ], covariance(f1)
 
-    return claims, covariance(f1)
 
-
-def _transform_roundtrips(ns: dict, th: _Threshold) -> list[Claim]:
+def _transform_roundtrips(ns: dict, claim: _Make) -> list[Claim]:
     """Theorem 1 (Plancherel constant) and the Definition 2 roundtrips."""
-    claims: list[Claim] = []
-    four = fourier_params()
     tn = ns["transform"]
     fbox = GridSpec(-8.0, 8.0, -8.0, 8.0, tn, tn)
     # one forward transform of the gaussian serves Theorem 1 and the
     # Fourier roundtrip
     gsrc = gaussian_test_field(tn)
-    gspec = forward(gsrc, four, fbox)
+    gspec = forward(gsrc, _FOURIER, fbox)
     r1 = _energy_ratio(gsrc, gspec)
     rel_f = _rel_l2(lct_inverse(gspec, gsrc.spec), gsrc)
     del gspec
-    r2 = parseval_ratio(bump_field(tn), four, fbox)
-    ok = abs(r1 - r2) <= th(1e-3) and abs(r1 - 1.0) <= th(1e-3)
-    claims.append(Claim(
-        "theorem1.parseval",
-        "integral |f|^2 dx = 1/(2pi)^2 integral |T{f}|^2 du "
-        "(energy ratio (2pi)^2)",
-        f"ratio {_fmt(r1)} (gaussian), {_fmt(r2)} (bump)",
-        "reproduced-with-different-constant", True, ok,
-        "the kernels' 1/sqrt(2pi|b|) amplitudes make the transform "
-        "unitary; the measured function-independent constant is 1, "
-        "not (2pi)^2"))
-
-    # Definition 2: transform roundtrips
-    claims.append(Claim(
-        "definition2.roundtrip_fourier",
-        "inverse(forward(f)) = f (Fourier parameters)",
-        f"relative L2 error {_fmt(rel_f)}",
-        "reproduced", True, rel_f <= th(1e-3),
-        f"gaussian on [-8,8]^2 at {tn}^2; unit-conjugated kernels"))
-
+    r2 = parseval_ratio(bump_field(tn), _FOURIER, fbox)
     wide = GridSpec(-12.0, 12.0, -12.0, 12.0, tn, tn)
-    rel_s = _rel_l2(lct_inverse(forward(gsrc, _SHEAR, wide), gsrc.spec),
-                    gsrc)
-    claims.append(Claim(
-        "definition2.roundtrip_shear",
-        "inverse(forward(f)) = f (shear parameters (1, 0.5, 0, 1))",
-        f"relative L2 error {_fmt(rel_s)}",
-        "reproduced", True, rel_s <= th(1e-2),
-        "frequency box widened to [-12,12]^2 to cover chirp spreading"))
+    rel_s = _rel_l2(lct_inverse(forward(gsrc, _SHEAR, wide), gsrc.spec), gsrc)
+    return [
+        claim("theorem1.parseval", "reproduced-with-different-constant", True,
+              "integral |f|^2 dx = 1/(2pi)^2 integral |T{f}|^2 du "
+              "(energy ratio (2pi)^2)",
+              "ratio %(r1)s (gaussian), %(r2)s (bump)",
+              "the kernels' 1/sqrt(2pi|b|) amplitudes make the transform "
+              "unitary; the measured function-independent constant is 1, "
+              "not (2pi)^2",
+              [(abs(r1 - r2), 1e-3), (abs(r1 - 1.0), 1e-3)], r1=r1, r2=r2),
+        claim("definition2.roundtrip_fourier", "reproduced", True,
+              "inverse(forward(f)) = f (Fourier parameters)",
+              "relative L2 error %(rel)s",
+              "gaussian on [-8,8]^2 at %(n)s^2; unit-conjugated kernels",
+              [(rel_f, 1e-3)], rel=rel_f, n=tn),
+        claim("definition2.roundtrip_shear", "reproduced", True,
+              "inverse(forward(f)) = f (shear parameters (1, 0.5, 0, 1))",
+              "relative L2 error %(rel)s",
+              "frequency box widened to [-12,12]^2 to cover chirp spreading",
+              [(rel_s, 1e-2)], rel=rel_s),
+    ]
 
-    return claims
 
-
-def _products(ns: dict, th: _Threshold) -> list[Claim]:
+def _products(ns: dict, claim: _Make) -> list[Claim]:
     """Theorems 2-3: convolution and correlation."""
-    claims: list[Claim] = []
-    four = fourier_params()
     cn = ns["conv"]
     cfreq = GridSpec(-5.0, 5.0, -5.0, 5.0, ns["freq"], ns["freq"])
     fs, gs = structured_pair(cn)
-    lit_conv, nrm_conv = product_residuals(fs, gs, four, cfreq)
-    ok = nrm_conv <= th(1e-2) and abs(lit_conv - 1.0) <= th(1e-6)
-    claims.append(Claim(
-        "theorem2.convolution_structured",
-        "T{f*g} = T{f} T{g} (2pi-scaled) for the separable commuting pair",
-        f"literal residual {_fmt(lit_conv)}; constant-phase-normalized "
-        f"residual {_fmt(nrm_conv)}",
-        "reproduced-with-different-constant", True, ok,
-        "the kernels' constant -pi/4 phases contribute a fixed unit "
-        "factor: T = e^{-i pi/4} S e^{-j pi/4} pointwise, and the "
-        "identity S{f*g} = 2pi S{f} S{g} holds exactly for the "
-        "structured pair while the unnormalized form misses by a "
-        "relative residual of exactly 1"))
-
+    lit_conv, nrm_conv = product_residuals(fs, gs, _FOURIER, cfreq)
     fg, gg = generic_pair(cn)
     gen_conv, _ = product_residuals(fg, gg, _SHEAR, cfreq)
-    claims.append(Claim(
-        "theorem2.convolution_generic",
-        "no validity claim (kernel additivity and commutation both fail)",
-        f"residual {_fmt(gen_conv)}",
-        "diagnostic-only", True, math.isfinite(gen_conv),
-        "non-commuting pair with k-components under shear parameters; "
-        "reported with no pass threshold"))
-
-    lit_corr, nrm_corr = product_residuals(fs, gs, four, cfreq,
+    lit_corr, nrm_corr = product_residuals(fs, gs, _FOURIER, cfreq,
                                            correlation=True)
-    ok = nrm_corr <= th(1e-2) and abs(lit_corr - 1.0) <= th(1e-6)
-    claims.append(Claim(
-        "theorem3.correlation_structured",
-        "T{f o g} = T{f} conj(T{g}) (2pi-scaled) for the structured pair",
-        f"literal residual {_fmt(lit_corr)}; constant-phase-normalized "
-        f"residual {_fmt(nrm_corr)}",
-        "reproduced-with-different-constant", True, ok,
-        "same constant-phase factor as the convolution identity"))
-
     gen_corr, _ = product_residuals(fg, gg, _SHEAR, cfreq, correlation=True)
-    claims.append(Claim(
-        "theorem3.correlation_generic",
-        "no validity claim",
-        f"residual {_fmt(gen_corr)}",
-        "diagnostic-only", True, math.isfinite(gen_corr), ""))
+    residuals = ("literal residual %(lit)s; constant-phase-normalized "
+                 "residual %(nrm)s")
+    return [
+        claim("theorem2.convolution_structured",
+              "reproduced-with-different-constant", True,
+              "T{f*g} = T{f} T{g} (2pi-scaled) for the separable commuting "
+              "pair", residuals,
+              "the kernels' constant -pi/4 phases contribute a fixed unit "
+              "factor: T = e^{-i pi/4} S e^{-j pi/4} pointwise, and the "
+              "identity S{f*g} = 2pi S{f} S{g} holds exactly for the "
+              "structured pair while the unnormalized form misses by a "
+              "relative residual of exactly 1",
+              [(nrm_conv, 1e-2), (abs(lit_conv - 1.0), 1e-6)],
+              lit=lit_conv, nrm=nrm_conv),
+        claim("theorem2.convolution_generic", "diagnostic-only", True,
+              "no validity claim (kernel additivity and commutation both "
+              "fail)", "residual %(res)s",
+              "non-commuting pair with k-components under shear "
+              "parameters; reported with no pass threshold",
+              ok=math.isfinite(gen_conv), res=gen_conv),
+        claim("theorem3.correlation_structured",
+              "reproduced-with-different-constant", True,
+              "T{f o g} = T{f} conj(T{g}) (2pi-scaled) for the structured "
+              "pair", residuals,
+              "same constant-phase factor as the convolution identity",
+              [(nrm_corr, 1e-2), (abs(lit_corr - 1.0), 1e-6)],
+              lit=lit_corr, nrm=nrm_corr),
+        claim("theorem3.correlation_generic", "diagnostic-only", True,
+              "no validity claim", "residual %(res)s",
+              ok=math.isfinite(gen_corr), res=gen_corr),
+    ]
 
 
-    return claims
-
-
-def _charfn_properties(ns: dict, th: _Threshold) -> list[Claim]:
+def _charfn_properties(ns: dict, claim: _Make) -> list[Claim]:
     """Characteristic function properties (fourier mode, real PDFs):
     Properties 1, 3 and 5, Theorems 4, 5 and 8."""
-    claims: list[Claim] = []
     tn = ns["transform"]
-    pn = ns["pdf"]
-    qn = ns["freq"]
-    pfreq = GridSpec(-4.0, 4.0, -4.0, 4.0, qn, qn)
+    pfreq = GridSpec(-4.0, 4.0, -4.0, 4.0, ns["freq"], ns["freq"])
     gpdf = gaussian_pdf(tn)
     cf_g = charfn(gpdf, pfreq)
     props_g = charfn_properties(cf_g, gpdf)
-    upd = uniform_pdf(pn)
+    upd = uniform_pdf(ns["pdf"])
     cf_u = charfn(upd, pfreq)
     props_u = charfn_properties(cf_u, upd)
-
-    ne = max(props_g["normalization_error"], props_u["normalization_error"])
-    claims.append(Claim(
-        "property1.normalization",
-        "phi(0,0) = 1 for a probability density",
-        f"max |phi(0,0) - integral f| = {_fmt(ne)}",
-        "reproduced", True, ne <= th(1e-6),
-        "gaussian and uniform real densities"))
-
-    mm = max(props_g["max_modulus"], props_u["max_modulus"])
-    claims.append(Claim(
-        "theorem8.bound",
-        "|phi(u,v)| <= 1",
-        f"max |phi| = {_fmt(mm)} over the frequency grid",
-        "reproduced", True, mm <= 1.0 + th(1e-9),
-        "for quaternion densities the provable bound is integral |f|; "
-        "a density with four equal gaussian components attains "
-        "max |phi| near 2 = integral |f|"))
-
-    pe = max(props_g["parity_max_error"], props_u["parity_max_error"])
-    flip = cf_u.spectrum.values[::-1, ::-1]
-    conj_form = cf_u.spectrum.values.copy()
-    conj_form[..., 1:] *= -1.0
-    herm_err = float(np.max(np.abs(flip - conj_form)))
-    claims.append(Claim(
-        "property3.symmetry",
-        "phi(-u,-v) = conj(phi(u,v)) for real densities",
-        f"component parity (even, odd, odd, even) max error {_fmt(pe)}; "
-        f"literal conjugate form max error {_fmt(herm_err)}",
-        "reproduced-with-different-constant", True, pe <= th(1e-8),
-        "the k component is even under point reflection, so the "
-        "literal conjugate relation fails in that component; the "
-        "holding form is phi(-u,-v) = -k phi(u,v) k"))
-
-    claims.append(Claim(
-        "theorem4.continuity",
-        "phi is uniformly continuous for integrable |f|",
-        f"max one-step increment {_fmt(props_g['continuity_max_step'])} vs "
-        f"bound {_fmt(props_g['continuity_bound'])}",
-        "reproduced", True, bool(props_g["continuity_satisfied"]),
-        "empirical small-shift test with Lipschitz constant "
-        "integral |x1| |f| dx"))
-    del upd, cf_u, cf_g
+    ne, mm, pe = (max(props_g[k], props_u[k]) for k in (
+        "normalization_error", "max_modulus", "parity_max_error"))
+    # phi(-u,-v) against the literal conjugate phi(u,v)
+    v = cf_u.spectrum.values
+    herm_err = float(np.max(np.abs(v[::-1, ::-1] - v * [1, -1, -1, -1])))
+    del upd, cf_u, cf_g, v
 
     # Theorem 5: factorization for real separable marginals
     sep = gaussian_pdf(tn, s1=1.0, s2=1.5)
     cf_s = charfn(sep, pfreq)
-    x1 = sep.spec.x1_nodes()
-    x2 = sep.spec.x2_nodes()
+    x1, x2 = sep.spec.x1_nodes(), sep.spec.x2_nodes()
     w1, w2 = _axis_weights(sep.spec)
     f1d = np.exp(-x1 ** 2 / 2.0) / math.sqrt(2.0 * math.pi)
     f2d = np.exp(-x2 ** 2 / (2.0 * 1.5 ** 2)) / (1.5 * math.sqrt(2.0 * math.pi))
@@ -572,31 +517,54 @@ def _charfn_properties(ns: dict, th: _Threshold) -> list[Claim]:
     phi2 = np.exp(1j * np.outer(pfreq.x2_nodes(), x2)) @ (w2 * f2d)
     prod = np.stack(_ij(phi1, phi2), axis=-1)
     fac_err = float(np.max(np.abs(cf_s.spectrum.values - prod)))
-    claims.append(Claim(
-        "theorem5.factorization",
-        "phi(u,v) = phi_X1(u) phi_X2(v) for independent marginals",
-        f"max node error {_fmt(fac_err)}",
-        "reproduced", True, fac_err <= th(1e-6),
-        "real gaussian marginals (sigma 1 and 1.5); real marginals "
-        "commute with both kernels"))
     del sep, cf_s
 
     # Property 5: inversion
     rec = invert_charfn(charfn(gpdf, GridSpec(-8.0, 8.0, -8.0, 8.0, tn, tn)),
                         gpdf.spec)
     rel_inv = _rel_l2(rec, gpdf)
-    claims.append(Claim(
-        "property5.inversion",
-        "f recovered from phi with constant 1/(2pi)^2",
-        f"relative L2 error {_fmt(rel_inv)}",
-        "reproduced", True, rel_inv <= th(1e-3),
-        "fourier mode carries no kernel amplitude, so here the "
-        "(2pi)^2 constant is correct as stated"))
+    return [
+        claim("property1.normalization", "reproduced", True,
+              "phi(0,0) = 1 for a probability density",
+              "max |phi(0,0) - integral f| = %(ne)s",
+              "gaussian and uniform real densities", [(ne, 1e-6)], ne=ne),
+        claim("theorem8.bound", "reproduced", True, "|phi(u,v)| <= 1",
+              "max |phi| = %(mm)s over the frequency grid",
+              "for quaternion densities the provable bound is integral "
+              "|f|; a density with four equal gaussian components attains "
+              "max |phi| near 2 = integral |f|",
+              [(mm - 1.0, 1e-9)], mm=mm),
+        claim("property3.symmetry", "reproduced-with-different-constant",
+              True, "phi(-u,-v) = conj(phi(u,v)) for real densities",
+              "component parity (even, odd, odd, even) max error %(pe)s; "
+              "literal conjugate form max error %(herm)s",
+              "the k component is even under point reflection, so the "
+              "literal conjugate relation fails in that component; the "
+              "holding form is phi(-u,-v) = -k phi(u,v) k",
+              [(pe, 1e-8)], pe=pe, herm=herm_err),
+        claim("theorem4.continuity", "reproduced", True,
+              "phi is uniformly continuous for integrable |f|",
+              "max one-step increment %(step)s vs bound %(bound)s",
+              "empirical small-shift test with Lipschitz constant "
+              "integral |x1| |f| dx",
+              ok=props_g["continuity_satisfied"],
+              step=props_g["continuity_max_step"],
+              bound=props_g["continuity_bound"]),
+        claim("theorem5.factorization", "reproduced", True,
+              "phi(u,v) = phi_X1(u) phi_X2(v) for independent marginals",
+              "max node error %(err)s",
+              "real gaussian marginals (sigma 1 and 1.5); real marginals "
+              "commute with both kernels", [(fac_err, 1e-6)], err=fac_err),
+        claim("property5.inversion", "reproduced", True,
+              "f recovered from phi with constant 1/(2pi)^2",
+              "relative L2 error %(rel)s",
+              "fourier mode carries no kernel amplitude, so here the "
+              "(2pi)^2 constant is correct as stated",
+              [(rel_inv, 1e-3)], rel=rel_inv),
+    ]
 
-    return claims
 
-
-def _fd_moments(ns: dict, th: _Threshold) -> list[Claim]:
+def _fd_moments(ns: dict, claim: _Make) -> list[Claim]:
     """Property 6: moments from finite differences of the characteristic
     function."""
     upd = uniform_pdf(ns["pdf"])
@@ -606,155 +574,120 @@ def _fd_moments(ns: dict, th: _Threshold) -> list[Claim]:
     d_coarse = _qdiff(fd_moment(upd, 1, 0, 2e-3), e1)
     d_fine = _qdiff(fd10, e1)
     factor = d_coarse / d_fine if d_fine > 0.0 else math.inf
-    ok = (_qdiff(fd10, Quaternion(0.5)) <= th(1e-5)
-          and _qdiff(fd11, Quaternion(0.25)) <= th(1e-4)
-          and factor >= 3.5)
-    return [Claim(
-        "property6.fd_moments",
-        "E[X1^m X2^n] from derivatives of phi at the origin",
-        f"fd(1,0) = {_fmt_q(fd10)}, fd(1,1) = {_fmt_q(fd11)}, "
-        f"halving-h error factor {_fmt(factor)}",
-        "reproduced", True, ok,
-        "uniform density on [0,1]^2; sandwich correction i^{-m} "
-        "(FD) j^{-n}; the stated recursion of the derivative theorem "
-        "is not computable as printed")]
+    return [
+        claim("property6.fd_moments", "reproduced", True,
+              "E[X1^m X2^n] from derivatives of phi at the origin",
+              "fd(1,0) = %(fd10)s, fd(1,1) = %(fd11)s, halving-h error "
+              "factor %(factor)s",
+              "uniform density on [0,1]^2; sandwich correction i^{-m} "
+              "(FD) j^{-n}; the stated recursion of the derivative "
+              "theorem is not computable as printed",
+              [(_qdiff(fd10, Quaternion(0.5)), 1e-5),
+               (_qdiff(fd11, Quaternion(0.25)), 1e-4)],
+              ok=factor >= 3.5, fd10=fd10, fd11=fd11, factor=factor),
+    ]
 
 
-def _example2(ns: dict, th: _Threshold) -> list[Claim]:
+def _example2(ns: dict, claim: _Make) -> list[Claim]:
     """Example 2: moment integral, characteristic function, kernel."""
-    claims: list[Claim] = []
-    four = fourier_params()
     n1d = ns["ex2"]
     w1d = quad_weights_1d(n1d, 1.0 / (n1d - 1))
     x1d = np.linspace(0.0, 1.0, n1d)
     m_num = complex(np.sum(w1d * x1d * np.exp(-1j * x1d)))
     m_oracle = complex(_moment_factor(np.array([1.0]))[0])
-    m_paper = (1.0 - np.exp(-1j) + 1j) / 1.0
-    err_o = abs(m_num - m_oracle)
-    claims.append(Claim(
-        "example2.moment_integral",
-        "integral_0^1 x e^{-iux} dx = (1 - e^{-iu} + iu)/u^2",
-        f"at u=1: quadrature {_fmt(m_num.real)} + {_fmt(m_num.imag)}i, "
-        f"stated formula {_fmt(m_paper.real)} + {_fmt(m_paper.imag)}i",
-        "not-reproduced", True, err_o <= th(1e-9),
-        "the antiderivative gives (e^{-iu}(1+iu) - 1)/u^2 = "
-        f"{_fmt(m_oracle.real)} + {_fmt(m_oracle.imag)}i at u=1, "
-        "matching quadrature; the stated formula does not"))
-
-    f2 = example2_density(ns["ex2"])
     efreq = GridSpec(-4.0, 4.0, -4.0, 4.0, 17, 17)
-    cf2 = charfn(f2, efreq, mode="lct", params=four)
-    oracle2 = example2_charfn_oracle(efreq)
-    err2 = float(np.max(np.abs(cf2.spectrum.values - oracle2)))
-    claims.append(Claim(
-        "example2.charfn",
-        "characteristic function of x1 + j x2 under Fourier parameters",
-        f"max node error vs closed-form sandwich oracle {_fmt(err2)}",
-        "reproduced", True, err2 <= th(1e-6),
-        f"quadrature at {ns['ex2']}^2 against the closed form built "
-        "from both 1D factors and the j x2 term's sandwich "
-        "contribution"))
+    phi = charfn(example2_density(n1d), efreq, mode="lct",
+                 params=_FOURIER).spectrum.values
+    err2 = float(np.max(np.abs(phi - example2_charfn_oracle(efreq))))
+    errp = float(np.max(np.abs(phi - example2_paper_formula(efreq))))
+    return [
+        claim("example2.moment_integral", "not-reproduced", True,
+              "integral_0^1 x e^{-iux} dx = (1 - e^{-iu} + iu)/u^2",
+              "at u=1: quadrature %(num)s, stated formula %(paper)s",
+              "the antiderivative gives (e^{-iu}(1+iu) - 1)/u^2 = "
+              "%(oracle)s at u=1, matching quadrature; the stated formula "
+              "does not",
+              [(abs(m_num - m_oracle), 1e-9)], num=m_num,
+              paper=(1.0 - np.exp(-1j) + 1j) / 1.0, oracle=m_oracle),
+        claim("example2.charfn", "reproduced", True,
+              "characteristic function of x1 + j x2 under Fourier parameters",
+              "max node error vs closed-form sandwich oracle %(err)s",
+              "quadrature at %(n)s^2 against the closed form built from "
+              "both 1D factors and the j x2 term's sandwich contribution",
+              [(err2, 1e-6)], err=err2, n=n1d),
+        claim("example2.final_formula", "not-reproduced", False,
+              "phi(u,v) = (1/2pi) [(1-e^{-iu}+iu)/u^2] [(1-e^{-jv}+jv)/v^2]",
+              "max node deviation from the stated formula %(err)s",
+              "the stated result drops the j x2 term's contribution, uses "
+              "the incorrect 1D moment formula, and omits the kernels' "
+              "constant e^{-i pi/4}, e^{-j pi/4} phases", err=errp),
+        claim("example2.kernel_constant",
+              "reproduced-with-different-constant", False,
+              "Fourier-parameter kernel (2pi)^{-1/2} e^{-i x u}",
+              "kernel(0.3, 0.7) = %(got)s vs stated %(paper)s",
+              "the defining kernel keeps the constant -pi/4 phase that the "
+              "worked example drops",
+              got=kernel_i(_FOURIER.A1, 0.3, 0.7),
+              paper=1.0 / math.sqrt(2.0 * math.pi) * exp_i(-0.3 * 0.7)),
+    ]
 
-    paper2 = example2_paper_formula(efreq)
-    errp = float(np.max(np.abs(cf2.spectrum.values - paper2)))
-    claims.append(Claim(
-        "example2.final_formula",
-        "phi(u,v) = (1/2pi) [(1-e^{-iu}+iu)/u^2] [(1-e^{-jv}+jv)/v^2]",
-        f"max node deviation from the stated formula {_fmt(errp)}",
-        "not-reproduced", False, True,
-        "the stated result drops the j x2 term's contribution, uses "
-        "the incorrect 1D moment formula, and omits the kernels' "
-        "constant e^{-i pi/4}, e^{-j pi/4} phases"))
 
-    k_meas = kernel_i(four.A1, 0.3, 0.7)
-    k_paper = 1.0 / math.sqrt(2.0 * math.pi) * exp_i(-0.3 * 0.7)
-    claims.append(Claim(
-        "example2.kernel_constant",
-        "Fourier-parameter kernel (2pi)^{-1/2} e^{-i x u}",
-        f"kernel(0.3, 0.7) = {_fmt_q(k_meas)} vs stated "
-        f"{_fmt_q(k_paper)}",
-        "reproduced-with-different-constant", False, True,
-        "the defining kernel keeps the constant -pi/4 phase that the "
-        "worked example drops"))
-
-    return claims
-
-
-def _covariances(ns: dict, th: _Threshold,
-                 mr_1: MomentReport) -> list[Claim]:
+def _covariances(ns: dict, claim: _Make, mr_1: MomentReport) -> list[Claim]:
     """Definition 7 and the covariance properties; mr_1 is the Example 1
     density's covariance report."""
-    claims: list[Claim] = []
     pn = ns["pdf"]
-    upd = uniform_pdf(pn)
-    mr_u = covariance(upd)
+    mr_u = covariance(uniform_pdf(pn))
     cov_norm = max(norm(mr_u.cov_12), norm(mr_u.cov_21))
-    var_err = _qdiff(mr_u.var_x1, Quaternion(1.0 / 12.0))
-    claims.append(Claim(
-        "definition7.uniform",
-        "independent uniforms: Cov = 0 and Var(X1) = 1/12",
-        f"|Cov| = {_fmt(cov_norm)}, Var(X1) = {_fmt_q(mr_u.var_x1)}",
-        "reproduced", True,
-        cov_norm <= th(1e-8) and var_err <= th(1e-8), ""))
-
     delta = mr_1.cov_12 - mr_1.cov_21
     comm = mul(mr_1.e_x2, mr_1.e_x1) - mul(mr_1.e_x1, mr_1.e_x2)
-    err_c = _qdiff(delta, comm)
-    claims.append(Claim(
-        "definition7.commutator",
-        "Cov(X1,X2) - Cov(X2,X1) = E[X2]E[X1] - E[X1]E[X2]",
-        f"difference {_fmt_q(delta)}, commutator {_fmt_q(comm)}",
-        "reproduced", True, err_c <= th(1e-8),
-        "Example 1 density; the two covariance orders differ by the "
-        "commutator of the means"))
-
-    base = covariance(correlated_pdf(pn))
+    corr = correlated_pdf(pn)
+    base = covariance(corr)
+    # X1 -> 2 X1: the same samples on [0, 2] x [0, 1] at half the density
+    mr_a = covariance(SampledField(GridSpec(0.0, 2.0, 0.0, 1.0, pn, pn),
+                                   corr.values / 2.0))
+    del corr
     shifted = covariance(correlated_pdf(pn, x1_min=0.5))
     err_s = _qdiff(base.cov_12, shifted.cov_12)
-    claims.append(Claim(
-        "covariance_property4.shift",
-        "Cov(X1 + b, X2) = Cov(X1, X2) for constant b",
-        f"|Cov change under shift b=0.5| = {_fmt(err_s)}",
-        "reproduced", True, err_s <= th(1e-6),
-        f"correlated density (1 + x1 x2)/(5/4), Cov = "
-        f"{_fmt_q(base.cov_12)}"))
-
-    mr_c = covariance(constant_x1_pdf(pn))
-    claims.append(Claim(
-        "covariance_property2.constant",
-        "Cov(a, X) = 0 for a constant",
-        f"|Cov| = {_fmt(norm(mr_c.cov_12))} with X1 concentrated on "
-        "one grid line",
-        "reproduced", True, norm(mr_c.cov_12) <= th(1e-6), ""))
-
+    cov_c = norm(covariance(constant_x1_pdf(pn)).cov_12)
     mr_n = covariance(anticorrelated_pdf(pn))
-    claims.append(Claim(
-        "covariance_property1.nonnegativity",
-        "Cov(X1, X2) cannot be negative",
-        f"Cov = {_fmt_q(mr_n.cov_12)} for the density "
-        "1 - (x1-1/2)(x2-1/2) on [0,1]^2",
-        "not-reproduced", False, True,
-        "a valid real density with scalar covariance -1/144 < 0; the "
-        "stated non-negativity does not follow from the covariance "
-        "definition"))
-
-    scaled = SampledField(
-        GridSpec(0.0, 2.0, 0.0, 1.0, pn, pn),
-        correlated_pdf(pn).values / 2.0)
-    mr_a = covariance(scaled)
-    lin = mr_a.cov_12 - 2.0 * base.cov_12
-    quad = mr_a.cov_12 - 4.0 * base.cov_12
-    claims.append(Claim(
-        "covariance_property3.scaling",
-        "Cov(aX, Y) = a^2 Cov(X, Y)",
-        f"a=2: Cov(aX,Y) = {_fmt_q(mr_a.cov_12)}; deviation from "
-        f"a Cov {_fmt(norm(lin))}, from a^2 Cov {_fmt(norm(quad))}",
-        "not-reproduced", False, True,
-        "real scaling enters linearly, Cov(aX, Y) = a Cov(X, Y); the "
-        "stated a^2 law is not reproduced"))
-
-
-    return claims
+    return [
+        claim("definition7.uniform", "reproduced", True,
+              "independent uniforms: Cov = 0 and Var(X1) = 1/12",
+              "|Cov| = %(cov)s, Var(X1) = %(var)s", "",
+              [(cov_norm, 1e-8),
+               (_qdiff(mr_u.var_x1, Quaternion(1.0 / 12.0)), 1e-8)],
+              cov=cov_norm, var=mr_u.var_x1),
+        claim("definition7.commutator", "reproduced", True,
+              "Cov(X1,X2) - Cov(X2,X1) = E[X2]E[X1] - E[X1]E[X2]",
+              "difference %(delta)s, commutator %(comm)s",
+              "Example 1 density; the two covariance orders differ by the "
+              "commutator of the means",
+              [(_qdiff(delta, comm), 1e-8)], delta=delta, comm=comm),
+        claim("covariance_property4.shift", "reproduced", True,
+              "Cov(X1 + b, X2) = Cov(X1, X2) for constant b",
+              "|Cov change under shift b=0.5| = %(err)s",
+              "correlated density (1 + x1 x2)/(5/4), Cov = %(cov)s",
+              [(err_s, 1e-6)], err=err_s, cov=base.cov_12),
+        claim("covariance_property2.constant", "reproduced", True,
+              "Cov(a, X) = 0 for a constant",
+              "|Cov| = %(cov)s with X1 concentrated on one grid line", "",
+              [(cov_c, 1e-6)], cov=cov_c),
+        claim("covariance_property1.nonnegativity", "not-reproduced",
+              False, "Cov(X1, X2) cannot be negative",
+              "Cov = %(cov)s for the density 1 - (x1-1/2)(x2-1/2) on "
+              "[0,1]^2",
+              "a valid real density with scalar covariance -1/144 < 0; the "
+              "stated non-negativity does not follow from the covariance "
+              "definition", cov=mr_n.cov_12),
+        claim("covariance_property3.scaling", "not-reproduced", False,
+              "Cov(aX, Y) = a^2 Cov(X, Y)",
+              "a=2: Cov(aX,Y) = %(cov)s; deviation from a Cov %(lin)s, "
+              "from a^2 Cov %(quad)s",
+              "real scaling enters linearly, Cov(aX, Y) = a Cov(X, Y); the "
+              "stated a^2 law is not reproduced",
+              cov=mr_a.cov_12, lin=norm(mr_a.cov_12 - 2.0 * base.cov_12),
+              quad=norm(mr_a.cov_12 - 4.0 * base.cov_12)),
+    ]
 
 
 # ---------------------------------------------------------------------------

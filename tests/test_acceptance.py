@@ -4,6 +4,7 @@ pass/fail line with its measured values and pinned tolerances."""
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,50 +44,45 @@ def _qdiff(p, q):
     return max(abs(a - b) for a, b in zip(p.components(), q.components()))
 
 
-# (claim_id, verdict, passed) of every ledger claim in ledger order; the
-# full and the quick profile both produce exactly this table
-LEDGER_VERDICTS = [
-    ("example1.E_X1_numerator", "reproduced", True),
-    ("example1.E_X1_quotient", "reproduced", True),
-    ("example1.normalization", "not-reproduced", True),
-    ("definition4.example1", "not-reproduced", True),
-    ("theorem1.parseval", "reproduced-with-different-constant", True),
-    ("definition2.roundtrip_fourier", "reproduced", True),
-    ("definition2.roundtrip_shear", "reproduced", True),
-    ("theorem2.convolution_structured",
-     "reproduced-with-different-constant", True),
-    ("theorem2.convolution_generic", "diagnostic-only", True),
-    ("theorem3.correlation_structured",
-     "reproduced-with-different-constant", True),
-    ("theorem3.correlation_generic", "diagnostic-only", True),
-    ("property1.normalization", "reproduced", True),
-    ("theorem8.bound", "reproduced", True),
-    ("property3.symmetry", "reproduced-with-different-constant", True),
-    ("theorem4.continuity", "reproduced", True),
-    ("theorem5.factorization", "reproduced", True),
-    ("property5.inversion", "reproduced", True),
-    ("property6.fd_moments", "reproduced", True),
-    ("example2.moment_integral", "not-reproduced", True),
-    ("example2.charfn", "reproduced", True),
-    ("example2.final_formula", "not-reproduced", True),
-    ("example2.kernel_constant", "reproduced-with-different-constant", True),
-    ("definition7.uniform", "reproduced", True),
-    ("definition7.commutator", "reproduced", True),
-    ("covariance_property4.shift", "reproduced", True),
-    ("covariance_property2.constant", "reproduced", True),
-    ("covariance_property1.nonnegativity", "not-reproduced", True),
-    ("covariance_property3.scaling", "not-reproduced", True),
-]
+# (claim_id, verdict, passed) of every ledger claim in ledger order, as
+# the benchmark and CI read it; the full and the quick profile both
+# produce exactly this table
+LEDGER_REFERENCE = (Path(__file__).resolve().parents[1] / "perfbench"
+                    / "verify_reference.json")
+
+
+def _reference_verdicts():
+    want = [tuple(row) for row in
+            json.loads(LEDGER_REFERENCE.read_text())["claims"]]
+    ids = [row[0] for row in want]
+    assert len(set(ids)) == len(ids), ids  # each claim id once
+    return want
 
 
 def test_ledger_verdicts_full_profile(ledger):
     got = [(c.claim_id, c.verdict, c.passed) for c in ledger.values()]
-    assert got == LEDGER_VERDICTS
+    assert got == _reference_verdicts()
 
 
 def test_ledger_verdicts_quick_profile():
     got = [(c.claim_id, c.verdict, c.passed) for c in run_verify(quick=True)]
-    assert got == LEDGER_VERDICTS
+    assert got == _reference_verdicts()
+
+
+def test_tol_1e12_fails_exactly_the_claims_it_scales_past():
+    # at the quick profile every tolerance-checked value is <= 2.9e-14
+    # or >= 3.7e-10, so 1e-12 fails exactly the required claims with a
+    # value above it and leaves every other flag as it is
+    base = run_verify(quick=True)
+    tight = run_verify(quick=True, tol=1e-12)
+    failed = {"theorem1.parseval", "theorem2.convolution_structured",
+              "theorem3.correlation_structured", "property6.fd_moments",
+              "example2.moment_integral", "example2.charfn"}
+    assert [c.claim_id for c in tight] == [c.claim_id for c in base]
+    for b, t in zip(base, tight):
+        assert b.passed
+        assert t.passed == (t.claim_id not in failed), t.claim_id
+        assert (t.measured, t.detail) == (b.measured, b.detail)
 
 
 def test_criterion_01_example1_moments():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,6 +105,32 @@ def test_field_shape_validation():
     bad[1, 2, 0] = math.nan
     with pytest.raises(ValueError):
         SampledField(spec, bad)
+
+
+def test_field_names_first_nonfinite_node_in_row_major_order():
+    # the check runs in row blocks; the first bad node is still the
+    # first in row-major order across blocks
+    spec = GridSpec(0.0, 1.0, 0.0, 1.0, 100, 9)
+    bad = np.zeros((100, 9, 4))
+    bad[70, 1, 0] = math.inf
+    bad[40, 6, 3] = math.nan
+    bad[40, 7, 0] = -math.inf
+    with pytest.raises(ValueError, match=r"non-finite value at node "
+                       r"\(40, 6\)"):
+        SampledField(spec, bad)
+
+
+def test_field_finiteness_check_holds_no_grid_sized_mask():
+    # an (n1, n2, 4) bool mask would be an eighth of the field
+    spec = GridSpec(-1.0, 1.0, -1.0, 1.0, 513, 513)
+    zeros = np.zeros((513, 513, 4))
+    tracemalloc.start()
+    try:
+        SampledField(spec, zeros)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.05 * zeros.nbytes, (peak, zeros.nbytes)
 
 
 def test_integrate_constant_and_product():
