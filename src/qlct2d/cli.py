@@ -4,10 +4,10 @@ Subcommands: transform, invert, charfn, moments, verify.  Grid files
 are CSV (with a JSON sidecar header) or single-file JSON; parameters
 are JSON files with per-axis unimodular matrices.
 
-Exit codes: 0 success, 2 input/parse error, 3 config/invariant
-violation, 4 verification failure.  Each subcommand parses its options
-before it reads its input file, so a bad option exits before any large
-allocation.
+Exit codes: 0 success, 2 input/parse error or an unwritable --out
+path, 3 config/invariant violation, 4 verification failure.  Each
+subcommand parses its options before it reads its input file, so a bad
+option exits before any large allocation.
 """
 
 from __future__ import annotations
@@ -178,7 +178,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as e:
+    except (ParseError, OSError) as e:
+        # an OSError here is an --out path that cannot be written; every
+        # read failure is already a ParseError naming its file
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
     except VerificationFailure as e:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import os
+from itertools import chain
 
 import numpy as np
 
@@ -190,6 +191,13 @@ def _read_json(path: str) -> tuple[GridSpec, np.ndarray, TransformParams | None]
         values = _grid_values(spec, doc["values"])
     except (TypeError, ValueError) as e:
         raise ParseError(f"{path}: {e}") from e
+    # numpy reads true and false as 1.0 and 0.0, so only the rows that
+    # hold such a value need the types of their cells looked at
+    rows = np.flatnonzero(((values == 0.0) | (values == 1.0)).any(axis=(1, 2)))
+    cells = chain.from_iterable(chain.from_iterable(
+        doc["values"][r] for r in rows))
+    if bool in map(type, cells):
+        raise ParseError(f"{path}: a boolean in values is not a number")
     params = None
     if "params" in doc:
         params = _from_header(path, TransformParams.from_dict, doc["params"])

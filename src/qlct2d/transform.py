@@ -16,7 +16,9 @@ output node t.  The core's cosine is even and its sine odd, so folding
 the input into z(s) ± z(-s) turns a half transform into two half-size
 real products (the even/odd fold of the fast DCT, Makhoul 1980): a
 quarter of the flops of the one complex product it replaces, which keeps
-the direct quadrature affordable without an FFT factorization.
+the direct quadrature affordable without an FFT factorization.  Each
+side's factors are built in that folded form once, so a half transform
+folds only the data.
 """
 
 from __future__ import annotations
@@ -55,16 +57,21 @@ class Spectrum(SampledField):
 @dataclass(frozen=True)
 class _Side:
     """One side's weighted kernel amp e^{σ u (α p² + β p q + γ q² + φ)} w(p)
-    from input node p onto output node q, with u the side's unit.
+    from input node p onto output node q, u the side's unit, stored
+    folded for `_half`.
 
     On centred nodes p = μp + s, q = μq + t it factors as
     pre(s) e^{σ u β s t} post(t), whose middle factor has a cosine even
-    and a sine odd in s and in t.  So only its s >= 0, t >= 0 quarter is
-    kept: cos and sin are the real (⌈n/2⌉, ⌈m/2⌉) arrays cos(β s t) and
-    σ sin(β s t).  pre (n,) carries the weights; pre and post are complex.
+    and a sine odd in s and in t.  So cos (⌈n/2⌉, ⌈m/2⌉) holds cos(β s t)
+    at s, t >= 0, and sin (⌈n/2⌉, m // 2) holds σ sin(β s t) at s >= 0,
+    t > 0, its columns reversed into the order of the nodes -t.  pre (n,)
+    carries the weights, the centre node of an odd count (which pairs
+    with itself in the fold) at half weight; a real, even pre (a Fourier
+    kernel onto a centred grid) is multiplied into the rows of cos and
+    sin instead, and pre is None.  post (m,) is complex.
     """
 
-    pre: np.ndarray
+    pre: np.ndarray | None
     post: np.ndarray
     cos: np.ndarray
     sin: np.ndarray
@@ -99,7 +106,16 @@ def _side(sigma: int, src: tuple, dst: tuple, alpha: float = 0.0,
     core = kernel_matrix(LctParams(0.0, b, -1.0 / b, 0.0), s[n // 2:],
                          t[m // 2:])
     core *= cmath.rect(math.sqrt(2.0 * math.pi * abs(b)), math.pi / 4.0)
-    return _Side(pre, post, core.real.copy(), sigma * core.imag)
+    cos = np.ascontiguousarray(core.real)
+    sin = np.ascontiguousarray(sigma * core.imag[:, m % 2:][:, ::-1])
+    if n % 2:
+        pre[n // 2] *= 0.5
+    if not pre.imag.any() and np.array_equal(pre, pre[::-1]):
+        # in place: new arrays here left heap holes worth a 513² field
+        cos *= pre.real[n // 2:, None]
+        sin *= pre.real[n // 2:, None]
+        pre = None
+    return _Side(pre, post, cos, sin)
 
 
 def _lct_side(p: LctParams, sigma: int, src: tuple, dst: tuple) -> _Side:
@@ -108,24 +124,6 @@ def _lct_side(p: LctParams, sigma: int, src: tuple, dst: tuple) -> _Side:
     a, d = (p.a, p.d) if sigma > 0 else (p.d, p.a)
     return _side(sigma, src, dst, a / (2.0 * p.b), p.b, d / (2.0 * p.b),
                  -math.pi / 4.0, 1.0 / math.sqrt(2.0 * math.pi * abs(p.b)))
-
-
-def _fold_factors(side: _Side):
-    """cos; the sine's columns t > 0 in reverse, the order of the rows
-    -t (its t = 0 column, where it vanishes, dropped); and pre with the
-    centre node of an odd count, which pairs with itself in the fold, at
-    half weight.  A real, even pre (a Fourier kernel onto a centred
-    grid) goes into cos and sin instead of over the data, and None is
-    returned for it."""
-    pre = side.pre.copy()
-    n, h, m = len(pre), len(side.cos), len(side.post)
-    if n % 2:
-        pre[n // 2] *= 0.5
-    cos, sin = side.cos, side.sin[:, m % 2:][:, ::-1]
-    if not pre.imag.any() and np.array_equal(pre, pre[::-1]):
-        w = pre.real[n - h:, None]
-        cos, sin, pre = cos * w, sin * w, None
-    return cos, np.ascontiguousarray(sin), pre
 
 
 def _unfold(side: _Side, out: np.ndarray):
@@ -147,10 +145,10 @@ def _half(z: np.ndarray, side: _Side) -> np.ndarray:
     """The complex (m, k) sum over the rows s of the complex (n, k) z
     with the side's kernel pre(s) e^{σ i β s t} post(t), i standing for
     its unit.  z times pre is folded about the centre into
-    z_e, z_o = z(s) ± z(-s), whose halves the real cos and σ sin
+    z_e, z_o = z(s) ± z(-s), whose halves the side's real cos and sin
     contract: two half-size real products in place of one complex product.
     """
-    cos, sin, pre = _fold_factors(side)
+    cos, sin, pre = side.cos, side.sin, side.pre
     (n, k), (h, mh), m = z.shape, cos.shape, len(side.post)
     out = np.empty((m, k), dtype=complex)
     zu, zl, up, lo = z[n - h:], z[h - 1::-1], out[m - mh:], out[:m // 2]

@@ -353,6 +353,24 @@ def test_sidecar_directory_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["transform", "f.csv"],
+    ["invert", "s.json", "--grid=-2,2,-2,2,9,9"],
+    ["charfn", "f.csv", "--freq-grid=-2,2,-2,2,9,9"],
+    ["moments", "f.csv"],
+    ["verify", "--quick"],
+], ids=lambda argv: argv[0])
+def test_unwritable_out_exits_2(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    f = _gaussian(9, 2.0)
+    write_field(f, "f.csv")
+    write_spectrum(forward(f, fourier_params(), f.spec), "s.json")
+    out = str(tmp_path / "missing" / "o.json")
+    assert main(argv + ["--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and out in err
+
+
+@pytest.mark.parametrize("argv", [
     ["moments", "f.csv", "--params", "missing.json", "--out", "m.json"],
     ["transform", "f.csv", "--grid=-1,1,-1,1,5,5", "--out", "o.json"],
     ["verify", "--quick", "--format", "json"],
@@ -434,3 +452,18 @@ def test_json_values_object_exits_2(tmp_path, capsys):
     src.write_text(json.dumps(doc))
     assert main(["moments", str(src), "--out", str(tmp_path / "m.json")]) == 2
     assert f"{src}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", ["one", "all"])
+def test_json_boolean_values_exit_2(tmp_path, capsys, grid):
+    # json reads true as True, which numpy would take for 1.0
+    src = tmp_path / "f.json"
+    write_field(_gaussian(17, 2.0), str(src))
+    doc = json.loads(src.read_text())
+    if grid == "one":
+        doc["values"][3][5][2] = True
+    else:
+        doc["values"] = np.ones((17, 17, 4), dtype=bool).tolist()
+    src.write_text(json.dumps(doc))
+    assert main(["moments", str(src), "--out", str(tmp_path / "m.json")]) == 2
+    assert f"{src}: a boolean" in capsys.readouterr().err

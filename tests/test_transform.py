@@ -9,9 +9,9 @@ import pytest
 from qlct2d.field import GridSpec, SampledField, l2_norm, quad_weights_1d
 from qlct2d.lct import LctParams, TransformParams, fourier_params
 from qlct2d.prob import charfn
-from qlct2d.transform import (_MAX_BLOCKS, Spectrum, _sandwich, _side,
-                              correlate, forward, inverse, parseval_ratio,
-                              phase_strip, product_residuals)
+from qlct2d.transform import (_MAX_BLOCKS, Spectrum, _lct_side, _sandwich,
+                              _side, correlate, forward, inverse,
+                              parseval_ratio, phase_strip, product_residuals)
 from qlct2d.verify import bump_field, gaussian_test_field, structured_pair
 
 FOUR = fourier_params()
@@ -114,6 +114,20 @@ def test_sandwich_peak_memory(n1, n2, m, n):
         tracemalloc.stop()
     assert peak <= 2.5 * max(result.nbytes, m * n2 * 4 * result.itemsize,
                              2 * values.nbytes / _MAX_BLOCKS)
+
+
+@pytest.mark.parametrize("n", [32, 33])
+def test_only_a_real_even_pre_goes_into_the_core(n):
+    # a Fourier kernel onto a centred grid has a real, even pre, which
+    # _side multiplies into cos and sin once, so that no half transform
+    # multiplies its data by pre; an off-centre output grid or a chirp
+    # makes pre complex, and it must stay
+    src, centred = (0.0, 0.1, n), (0.0, 0.3, 17)
+    rotation = LctParams(math.cos(0.6), math.sin(0.6), -math.sin(0.6),
+                         math.cos(0.6))
+    assert _side(1, src, centred).pre is None
+    assert _side(1, src, (0.7, 0.3, 17)).pre is not None
+    assert _lct_side(rotation, 1, src, centred).pre is not None
 
 
 def test_roundtrip_fourier():

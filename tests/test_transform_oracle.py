@@ -9,10 +9,11 @@ both quadrature rules (n < 6 and n >= 6); parameters have b != 0 of
 either sign and differ between the axes.
 
 `_sandwich` itself is checked against the four complex products on the
-pairs (q0 + i q1, q2 + i q3), with the dense kernels assembled from the
-same factored sides, on shapes where every dimension differs.  Each
-side's factors are checked against the kernel formula they factor, and
-fourier-mode `charfn` and `invert_charfn` against the direct e^{±iux}
+pairs (q0 + i q1, q2 + i q3), on shapes where every dimension differs,
+and `_half` of the identity against the dense kernel; both references
+evaluate the kernel formula from `_side`'s arguments, so the tests do
+not depend on how a side stores its folded factors.  Fourier-mode
+`charfn` and `invert_charfn` are checked against the direct e^{±iux}
 sums on a box and a frequency grid that are not centred on 0.
 """
 
@@ -26,7 +27,8 @@ from qlct2d.field import GridSpec, SampledField, qnorm_values, quad_weights_1d
 from qlct2d.lct import LctParams, TransformParams, kernel_i, kernel_j
 from qlct2d.prob import CharFn, charfn, invert_charfn
 from qlct2d.quaternion import Quaternion, conj, mul
-from qlct2d.transform import Spectrum, _sandwich, _side, forward, inverse
+from qlct2d.transform import (Spectrum, _half, _sandwich, _side, forward,
+                              inverse)
 
 
 def _sandwich_sum(values: np.ndarray, src: GridSpec, dst: GridSpec,
@@ -117,45 +119,50 @@ def _four_product_sandwich(values: np.ndarray, kl: np.ndarray,
     return np.stack([d1.real, d2.real, d1.imag, d2.imag], axis=-1)
 
 
-def _dense(side) -> np.ndarray:
-    """The (m, n) kernel post(t) e^{σ u β s t} pre(s) of a factored side,
-    its core unfolded from the s >= 0, t >= 0 quarter by the parity of
-    cos and sin (σ sits in the sign of sin)."""
-    def mirror(count):
-        k = 2 * np.arange(count) - (count - 1)  # 2 s / spacing
-        return np.abs(k) // 2, np.sign(k)
+def _nodes(axis) -> np.ndarray:
+    mid, h, count = axis
+    return mid + h * (np.arange(count) - 0.5 * (count - 1))
 
-    (ip, sp), (iq, sq) = mirror(len(side.pre)), mirror(len(side.post))
-    core = (side.cos[np.ix_(ip, iq)]
-            + 1j * np.outer(sp, sq) * side.sin[np.ix_(ip, iq)])
-    return (side.pre[:, None] * core * side.post[None, :]).T
+
+def _kernel(args) -> np.ndarray:
+    """The (m, n) kernel amp e^{σ i (α p² - p q / b + γ q² + φ)} w(p) of
+    `_side(*args)` from input node p onto output node q, from the
+    formula, not from the factors."""
+    sigma, src, dst, alpha, b, gamma, phi, amp = args
+    p, q = _nodes(src), _nodes(dst)
+    phase = (alpha * p[None, :] ** 2 - np.outer(q, p) / b
+             + gamma * q[:, None] ** 2 + phi)
+    return amp * np.exp(sigma * 1j * phase) * quad_weights_1d(len(p), src[1])
 
 
 @st.composite
-def _factored_side(draw, n_in: int, n_out: int):
-    """A side with random kernel coefficients between random grids; in
-    about half the draws α = 0 onto a centred grid, so that pre is real
-    and even and goes into cos and sin."""
+def _side_args(draw, n_in: int, n_out: int):
+    """`_side`'s arguments: random kernel coefficients between random
+    grids; in about half the draws α = 0 onto a centred grid, so that
+    pre is real and even and goes into cos and sin."""
     def axis(count, mid):
         return (mid, draw(st.floats(0.1, 0.6)), count)
 
     even = draw(st.booleans())
     coefs = [draw(st.floats(-2.0, 2.0)) for _ in range(5)]
     b = draw(st.floats(0.3, 2.0)) * draw(st.sampled_from([-1.0, 1.0]))
-    args = (draw(st.sampled_from([-1, 1])), axis(n_in, coefs[0]),
+    return (draw(st.sampled_from([-1, 1])), axis(n_in, coefs[0]),
             axis(n_out, 0.0 if even else coefs[1]),
             0.0 if even else coefs[2], b, coefs[3], coefs[4],
             1.0 + abs(coefs[0]))
-    return args, _side(*args)
 
 
 @st.composite
 def _sandwich_operands(draw):
     m, n1, n2, n = draw(st.lists(st.integers(1, 9), min_size=4,
                                  max_size=4, unique=True))
-    left = draw(_factored_side(n1, m))[1]
-    right = draw(_factored_side(n2, n))[1]
-    return left, right, draw(st.integers(0, 2 ** 32 - 1))
+    return (draw(_side_args(n1, m)), draw(_side_args(n2, n)),
+            draw(st.integers(0, 2 ** 32 - 1)))
+
+
+def _fourier(sigma: int, src: tuple, dst: tuple) -> tuple:
+    """`_side`'s arguments for its default, the Fourier kernel."""
+    return (sigma, src, dst, 0.0, -1.0, 0.0, 0.0, 1.0)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -163,21 +170,20 @@ def _sandwich_operands(draw):
 # (m, n1, n2, n) = (1, 5, 3, 7), (6, 4, 2, 1) and (1, 2, 3, 1): a single
 # output node, two input rows; on each, one side with a complex pre and
 # one Fourier side onto a centred grid, with a real, even pre
-@example((_side(1, (0.3, 0.2, 5), (-0.4, 0.5, 1), 0.4, 0.7, -0.3, 0.2, 1.5),
-          _side(-1, (0.0, 0.3, 3), (0.0, 0.4, 7)), 0))
-@example((_side(-1, (0.1, 0.3, 4), (0.0, 0.2, 6)),
-          _side(1, (-0.5, 0.4, 2), (0.7, 0.3, 1), -0.6, -1.2, 0.8, -0.1, 0.9),
+@example(((1, (0.3, 0.2, 5), (-0.4, 0.5, 1), 0.4, 0.7, -0.3, 0.2, 1.5),
+          _fourier(-1, (0.0, 0.3, 3), (0.0, 0.4, 7)), 0))
+@example((_fourier(-1, (0.1, 0.3, 4), (0.0, 0.2, 6)),
+          (1, (-0.5, 0.4, 2), (0.7, 0.3, 1), -0.6, -1.2, 0.8, -0.1, 0.9),
           1))
-@example((_side(1, (0.2, 0.5, 2), (-0.3, 0.1, 1), 0.5, 1.1, 0.2, 0.3, 1.0),
-          _side(1, (0.0, 0.2, 3), (0.0, 0.6, 1)), 2))
+@example(((1, (0.2, 0.5, 2), (-0.3, 0.1, 1), 0.5, 1.1, 0.2, 0.3, 1.0),
+          _fourier(1, (0.0, 0.2, 3), (0.0, 0.6, 1)), 2))
 def test_sandwich_matches_four_products(operands):
     left, right, seed = operands
-    n1, n2 = len(left.pre), len(right.pre)
+    (n1, m), (n2, n) = ((a[1][2], a[2][2]) for a in (left, right))
     values = np.random.default_rng(seed).standard_normal((n1, n2, 4))
-    kl, kr = _dense(left), _dense(right).T
-    got = _sandwich(values, left, right)
-    want = _four_product_sandwich(values, kl, kr)
-    assert got.shape == (len(left.post), len(right.post), 4)
+    got = _sandwich(values, _side(*left), _side(*right))
+    want = _four_product_sandwich(values, _kernel(left), _kernel(right).T)
+    assert got.shape == (m, n, 4)
     assert float(np.max(qnorm_values(got - want))) \
         <= 1e-13 * float(np.max(qnorm_values(want)))
 
@@ -185,16 +191,10 @@ def test_sandwich_matches_four_products(operands):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.integers(1, 9), st.integers(1, 9), st.data())
 def test_side_factors_its_kernel(n_in, n_out, data):
-    # amp e^{σ u (α p² + β p q + γ q² + φ)} w(p) with β = -1/b, on the
-    # nodes p = μp + s, q = μq + t
-    args, side = data.draw(_factored_side(n_in, n_out))
-    sigma, (mp, hp, _), (mq, hq, _), alpha, b, gamma, phi, amp = args
-    p = mp + hp * (np.arange(n_in) - 0.5 * (n_in - 1))
-    q = mq + hq * (np.arange(n_out) - 0.5 * (n_out - 1))
-    phase = (alpha * p[None, :] ** 2 - np.outer(q, p) / b
-             + gamma * q[:, None] ** 2 + phi)
-    want = amp * np.exp(sigma * 1j * phase) * quad_weights_1d(n_in, hp)
-    got = _dense(side)
+    # the half transform of the identity is the side's dense kernel
+    args = data.draw(_side_args(n_in, n_out))
+    got = _half(np.eye(n_in, dtype=complex), _side(*args))
+    want = _kernel(args)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
