@@ -6,14 +6,16 @@ are JSON files with per-axis unimodular matrices.
 
 Exit codes: 0 success, 2 input/parse error or an unwritable --out
 path, 3 config/invariant violation, 4 verification failure.  Each
-subcommand parses its options before it reads its input file, so a bad
-option exits before any large allocation.
+subcommand parses its options, and checks that --out can be written,
+before it reads its input file, so a bad option exits before any large
+allocation.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import fields
 
@@ -73,6 +75,19 @@ def _load_params(path: str) -> TransformParams:
             raise ParseError(f"{path}: missing matrix {key}")
     return TransformParams(_matrix(path, "A1", doc["A1"]),
                            _matrix(path, "A2", doc["A2"]))
+
+
+def _check_out(path: str):
+    """Refuse an --out path that could not be written: one that is a
+    directory, or whose directory is missing or not writable.  Creates
+    nothing."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        raise OSError(f"--out {path} is a directory")
+    if not os.path.isdir(parent):
+        raise OSError(f"--out {path}: no directory {parent}")
+    if not os.access(parent, os.W_OK):
+        raise OSError(f"--out {path}: directory {parent} is not writable")
 
 
 def _cmd_transform(args) -> int:
@@ -177,6 +192,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.out is not None:
+            _check_out(args.out)
         return args.func(args)
     except (ParseError, OSError) as e:
         # an OSError here is an --out path that cannot be written; every

@@ -85,14 +85,24 @@ class GridSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GridSpec":
+        *bounds, n1, n2 = _entries(
+            d, ("x1_min", "x1_max", "x2_min", "x2_max", "n1", "n2"))
         try:
-            args = (float(d["x1_min"]), float(d["x1_max"]),
-                    float(d["x2_min"]), float(d["x2_max"]),
-                    _count(d["n1"]), _count(d["n2"]))
+            args = (*map(float, bounds), _count(n1), _count(n2))
         except (ValueError, OverflowError) as e:
             # a non-numeric entry is mistyped, not an invariant violation
             raise TypeError(f"non-numeric entry: {e}") from e
         return cls(*args)
+
+
+def _entries(d: dict, keys) -> list:
+    """d's entries at keys.  A JSON true or false is a mistyped entry,
+    not the 1 or 0 that float() would make of it."""
+    entries = [d[k] for k in keys]
+    for k, v in zip(keys, entries):
+        if isinstance(v, (bool, np.bool_)):
+            raise TypeError(f"{k}: a boolean is not a number")
+    return entries
 
 
 def _count(v) -> int:

@@ -25,6 +25,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .field import _entries
 from .quaternion import Quaternion
 
 __all__ = [
@@ -69,7 +70,7 @@ class LctParams:
     @classmethod
     def from_dict(cls, d: dict) -> "LctParams":
         try:
-            args = (float(d["a"]), float(d["b"]), float(d["c"]), float(d["d"]))
+            args = tuple(map(float, _entries(d, "abcd")))
         except (ValueError, OverflowError) as e:
             # a non-numeric entry is mistyped, not an invariant violation
             raise TypeError(f"non-numeric entry: {e}") from e

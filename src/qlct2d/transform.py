@@ -19,6 +19,13 @@ quarter of the flops of the one complex product it replaces, which keeps
 the direct quadrature affordable without an FFT factorization.  Each
 side's factors are built in that folded form once, so a half transform
 folds only the data.
+
+A transform holds one buffer the size of its output (or of the left
+side's result, if that is larger) and, at any time, the temporaries of
+one column block of the left side or one band of output rows of the
+right side, sized from the array shapes: a quarter of the buffer for
+large transforms, all of it for small ones.  Its traced peak is about
+1.25 times its output from 257² up.
 """
 
 from __future__ import annotations
@@ -77,8 +84,13 @@ class _Side:
     sin: np.ndarray
 
 
-# the most column blocks the first side of _sandwich folds its input in
+# the most column blocks the left side of _sandwich folds its input in
 _MAX_BLOCKS = 32
+# the temporaries of one block or band of _sandwich: 1/_SHARE of its
+# buffer, but at least _CHUNK bytes (and at most the buffer), so that a
+# small transform is not cut into many blocks of numpy call overhead
+_SHARE = 4
+_CHUNK = 2 ** 18
 
 
 def _axes(spec: GridSpec) -> tuple[tuple, tuple]:
@@ -141,32 +153,33 @@ def _unfold(side: _Side, out: np.ndarray):
     out *= side.post[:, None]
 
 
-def _half(z: np.ndarray, side: _Side) -> np.ndarray:
-    """The complex (m, k) sum over the rows s of the complex (n, k) z
-    with the side's kernel pre(s) e^{σ i β s t} post(t), i standing for
-    its unit.  z times pre is folded about the centre into
-    z_e, z_o = z(s) ± z(-s), whose halves the side's real cos and sin
-    contract: two half-size real products in place of one complex product.
+def _contract(z: np.ndarray, side: _Side, out: np.ndarray):
+    """Fold z times pre about the centre into z_e, z_o = z(s) ± z(-s)
+    and contract their halves with the side's real cos and sin into the
+    rows of out that `_unfold` reads: two half-size real products in
+    place of one complex product.  z is read in full before out is
+    written, so the two may share memory.  The fold's temporaries are
+    at most four (⌈n/2⌉, k) arrays.
     """
     cos, sin, pre = side.cos, side.sin, side.pre
     (n, k), (h, mh), m = z.shape, cos.shape, len(side.post)
-    out = np.empty((m, k), dtype=complex)
-    zu, zl, up, lo = z[n - h:], z[h - 1::-1], out[m - mh:], out[:m // 2]
-    # in ⌈4h/m⌉ equal column blocks, whose (h, step) fold temporaries,
-    # at most four at once with numpy's buffers, fit in out; but in no
-    # more than _MAX_BLOCKS, whose temporaries stay under about
-    # 2/_MAX_BLOCKS of z, or a small output would cost hundreds of
-    # blocks of numpy call overhead
-    step = -(-k // min(-(-4 * h // m), _MAX_BLOCKS))
-    for c in range(0, k, step):
-        cols = slice(c, c + step)
-        ze, zo = zu[:, cols], zl[:, cols]
-        if pre is not None:
-            ze, zo = ze * pre[n - h:, None], zo * pre[h - 1::-1, None]
-        ze, zo = ze + zo, ze - zo
-        np.matmul(cos.T, ze.view(float), out=up[:, cols].view(float))
-        np.matmul(sin.T, zo.view(float), out=lo[:, cols].view(float))
-        del ze, zo
+    ze, zo = z[n - h:], z[h - 1::-1]
+    if pre is not None:
+        ze, zo = ze * pre[n - h:, None], zo * pre[h - 1::-1, None]
+    ze, zo = ze + zo, ze - zo
+    np.matmul(cos.T, ze.view(float), out=out[m - mh:].view(float))
+    np.matmul(sin.T, zo.view(float), out=out[:m // 2].view(float))
+
+
+def _half(z: np.ndarray, side: _Side, out: np.ndarray | None = None
+          ) -> np.ndarray:
+    """The complex (m, k) sum over the rows s of the complex (n, k) z
+    with the side's kernel pre(s) e^{σ i β s t} post(t), i standing for
+    its unit, written into out when given; out may share memory with z
+    (see `_contract`)."""
+    if out is None:
+        out = np.empty((len(side.post), z.shape[1]), dtype=complex)
+    _contract(z, side, out)
     _unfold(side, out)
     return out
 
@@ -181,25 +194,53 @@ def _sandwich(values: np.ndarray, left: _Side, right: _Side) -> np.ndarray:
     right factor c in span{1,j} gives q c = p c + i (r c), so the right
     side is the same complex half transform, with j in the role of i, of
     the transposed pairs (q0, q2) and (q1, q3).
+
+    Both sides run in one flat buffer of m * max(n2, n) quaternions.
+    The left side writes its (m, n2) result g there in column blocks.
+    The right side then runs in bands of output rows: each band's rows
+    of g are copied into a small block of the two transposed pairs,
+    transformed there, and written back into the same rows of the
+    buffer, now in the (m, n) layout of the output.  A band's output
+    rows end no later than its rows of g when n <= n2, and begin no
+    earlier when n > n2, so the bands run upwards in the first case and
+    downwards in the second: no band overwrites a row of g still to be
+    read.
     """
     (n1, n2), m, n = values.shape[:2], len(left.post), len(right.post)
     z = np.ascontiguousarray(values).view(complex).reshape(n1, 2 * n2)
-    g = _half(z, left).view(float).reshape(m, n2, 4)
-    # the two transposed pairs share one block, which then holds their
-    # transforms transposed back: fewer and like-sized buffers keep the
-    # heap compact
-    block = np.empty((2, m * max(n2, n)), dtype=complex)
-    ys = [b[:n2 * m].reshape(n2, m) for b in block]
-    for k, y in enumerate(ys):
-        y.real[...], y.imag[...] = g[..., k].T, g[..., k + 2].T
-    del z, g
-    ts = [b[:m * n].reshape(m, n) for b in block]
-    for y, o in zip(ys, ts):
-        o[...] = _half(y, right).T
-    out = np.empty((m, n, 4))
-    for k, o in enumerate(ts):
-        out[..., k], out[..., k + 2] = o.real, o.imag
-    return out
+    buf = np.empty(m * max(n2, n) * 4)
+    budget = min(max(_CHUNK, buf.nbytes // _SHARE), buf.nbytes)
+    g = buf[:m * n2 * 4].reshape(m, n2, 4)
+    gz = g.view(complex).reshape(m, 2 * n2)
+    # a column of a left block has four ⌈n1/2⌉-row fold temporaries
+    step = max(budget // (64 * left.cos.shape[0]), -(-2 * n2 // _MAX_BLOCKS))
+    for c in range(0, 2 * n2, step):
+        _contract(z[:, c:c + step], left, gz[:, c:c + step])
+    _unfold(left, gz)
+    del z, gz
+    out = buf[:m * n * 4].reshape(m, n, 4)
+    # a row of a band has two columns in the band's block and in each of
+    # four ⌈n2/2⌉-row fold temporaries
+    w = max(budget // (32 * max(n2, n) + 128 * right.cos.shape[0]), 1)
+    # the block holds a band's (q0, q2) pairs, then its (q1, q3) pairs,
+    # and then their transforms, which overwrite them once folded
+    yb = np.empty(max(n2, n) * 2 * w, dtype=complex)
+    starts = range(0, m, w)
+    for a in starts if n <= n2 else reversed(starts):
+        gb, ob = g[a:a + w], out[a:a + w]
+        k = len(gb)
+        y = yb[:n2 * 2 * k].reshape(n2, 2, k)
+        y.real[...] = gb[..., :2].transpose(1, 2, 0)
+        y.imag[...] = gb[..., 2:].transpose(1, 2, 0)
+        t = yb[:n * 2 * k].reshape(n, 2, k)
+        _half(y.reshape(n2, 2 * k), right, out=t.reshape(n, 2 * k))
+        for j in (0, 1):
+            ob[..., j], ob[..., j + 2] = t.real[:, j].T, t.imag[:, j].T
+    del g, out, gb, ob
+    if n < n2:
+        # no view of buf is left, so it shrinks in place to the output
+        buf.resize(m * n * 4, refcheck=False)
+    return buf.reshape(m, n, 4)
 
 
 def forward(f: SampledField, params: TransformParams,

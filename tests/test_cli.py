@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qlct2d import verify
-from qlct2d.cli import main
+from qlct2d.cli import _check_out, main
 from qlct2d.field import GridSpec, SampledField
 from qlct2d.gridio import read_field, read_spectrum, write_field, write_spectrum
 from qlct2d.lct import LctParams, TransformParams, fourier_params
@@ -315,8 +315,11 @@ def test_header_missing_key_exits_2(tmp_path, monkeypatch, capsys,
     ("f.csv.json", ("n1",), "1e400", ["moments", "f.csv"]),
     ("f.json", ("grid", "x1_min"), '"abc"', ["moments", "f.json"]),
     ("f.csv.json", ("n1",), "17.9", ["moments", "f.csv"]),
+    ("f.csv.json", ("x1_max",), "true", ["moments", "f.csv"]),
+    ("f.json", ("grid", "n2"), "true", ["moments", "f.json"]),
 ], ids=["csv-sidecar-n1", "csv-sidecar-n1-overflow", "json-grid-x1_min",
-        "csv-sidecar-n1-fractional"])
+        "csv-sidecar-n1-fractional", "csv-sidecar-x1_max-boolean",
+        "json-grid-n2-boolean"])
 def test_header_non_numeric_entry_exits_2(tmp_path, monkeypatch, capsys,
                                           name, keys, text, argv):
     monkeypatch.chdir(tmp_path)
@@ -368,6 +371,33 @@ def test_unwritable_out_exits_2(tmp_path, monkeypatch, capsys, argv):
     assert main(argv + ["--out", out]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and out in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["transform", "f.csv"],
+    ["verify", "--quick"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("out", ["missing/o.json", "."],
+                         ids=["no-directory", "a-directory"])
+def test_unwritable_out_exits_before_any_work(tmp_path, monkeypatch, capsys,
+                                              argv, out):
+    monkeypatch.chdir(tmp_path)
+    write_field(_gaussian(9, 2.0), "f.csv")
+
+    def never(*args, **kwargs):
+        raise AssertionError("ran before --out was checked")
+
+    for name in ("forward", "read_field", "run_verify"):
+        monkeypatch.setattr(f"qlct2d.cli.{name}", never)
+    assert main(argv + ["--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: --out ")
+
+
+def test_out_check_creates_nothing(tmp_path):
+    out = tmp_path / "o.json"
+    _check_out(str(out))
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -430,8 +460,10 @@ _FOUR = {"a": 0.0, "b": 1.0, "c": -1.0, "d": 0.0}
     ({"A1": [0.0, 1.0, -1.0, 0.0], "A2": _FOUR}, "TypeError"),
     ([_FOUR, _FOUR], "expected a JSON object"),
     ({"a": "abc", "b": 1.0, "c": -1.0, "d": 0.0}, "non-numeric entry"),
+    # json reads true as True, which float() would take for 1.0
+    ({"a": True, "b": True, "c": False, "d": True}, "a boolean"),
 ], ids=["A1-without-d", "no-A2", "A1-list", "top-level-list",
-        "a-non-numeric"])
+        "a-non-numeric", "booleans"])
 def test_params_missing_or_mistyped_entry_exits_2(tmp_path, capsys,
                                                   doc, message):
     src = str(tmp_path / "f.csv")

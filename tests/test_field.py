@@ -69,6 +69,16 @@ def test_gridspec_geometry():
     assert GridSpec.from_dict(spec.to_dict()) == spec
 
 
+@pytest.mark.parametrize("key", ["x1_max", "n1"])
+def test_gridspec_from_dict_refuses_booleans(key):
+    # a JSON true would otherwise read as 1.0 or a count of 1
+    d = dict(x1_min=-1.0, x1_max=1.0, x2_min=-1.0, x2_max=1.0, n1=9, n2=9)
+    for count in (np.int64(9), 9.0, "9"):
+        assert GridSpec.from_dict(dict(d, n1=count)).n1 == 9
+    with pytest.raises(TypeError, match=f"{key}: a boolean"):
+        GridSpec.from_dict(dict(d, **{key: True}))
+
+
 def test_quad_weights_sum_to_length():
     for n in (2, 4, 6, 17, 100):
         w = quad_weights_1d(n, 0.25)

@@ -32,6 +32,14 @@ def test_params_dict_roundtrip():
     assert TransformParams.from_dict(t.to_dict()) == t
 
 
+def test_params_from_dict_refuses_booleans():
+    # (1, 1, 0, 1) is unimodular, so booleans would pass every invariant
+    with pytest.raises(TypeError, match="a boolean"):
+        LctParams.from_dict({"a": True, "b": True, "c": False, "d": True})
+    assert LctParams.from_dict({"a": np.int64(1), "b": "1", "c": 0.0,
+                                "d": 1}) == LctParams(1.0, 1.0, 0.0, 1.0)
+
+
 def test_fourier_kernel_value_at_origin():
     p = fourier_params().A1
     amp = 1.0 / math.sqrt(2.0 * math.pi)

@@ -92,16 +92,8 @@ def test_non_contiguous_values_give_the_same_spectrum(layout):
                           charfn(g, freq).spectrum.values)
 
 
-@pytest.mark.parametrize("n1, n2, m, n", [(65, 65, 65, 65), (40, 30, 20, 50),
-                                         (30, 40, 50, 20), (129, 129, 9, 9),
-                                         (201, 201, 3, 3)])
-def test_sandwich_peak_memory(n1, n2, m, n):
-    # above its operands, the sandwich may hold the result, the (m, n2)
-    # intermediate and temporaries no larger than these; a third
-    # full-size buffer, or a temporary that grows with the input (the
-    # 129^2 -> 9^2 case, folded in 29 blocks), reads about 3x or more.
-    # Past _MAX_BLOCKS blocks (201^2 -> 3^2 takes 135) the fold's
-    # temporaries may reach 2/_MAX_BLOCKS of the input, not all of it
+def _sandwich_peak(n1: int, n2: int, m: int, n: int) -> tuple[int, int]:
+    """(traced peak, result bytes) of one sandwich of random values."""
     rng = np.random.default_rng(7)
     values = rng.standard_normal((n1, n2, 4))
     left = _side(1, (0.5, 0.1, n1), (-0.2, 0.3, m), 0.4, 0.7, -0.3, 0.2, 0.5)
@@ -112,8 +104,32 @@ def test_sandwich_peak_memory(n1, n2, m, n):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * max(result.nbytes, m * n2 * 4 * result.itemsize,
-                             2 * values.nbytes / _MAX_BLOCKS)
+    return peak, result.nbytes
+
+
+@pytest.mark.parametrize("n1, n2, m, n", [(65, 65, 65, 65), (40, 30, 20, 50),
+                                         (30, 40, 50, 20), (129, 129, 9, 9),
+                                         (201, 201, 3, 3)])
+def test_sandwich_peak_memory(n1, n2, m, n):
+    # above its operands, the sandwich may hold the result, the (m, n2)
+    # intermediate and temporaries no larger than these; a third
+    # full-size buffer, or a temporary that grows with the input (the
+    # 129^2 -> 9^2 case, folded in 29 blocks), reads about 3x or more.
+    # Capped at _MAX_BLOCKS blocks (201^2 -> 3^2 folds in 31 blocks of
+    # 13 columns, not 201 of 2), the fold's temporaries may reach
+    # 2/_MAX_BLOCKS of the input, not all of it
+    peak, nbytes = _sandwich_peak(n1, n2, m, n)
+    assert peak <= 2.5 * max(nbytes, m * n2 * 4 * 8,
+                             2 * n1 * n2 * 4 * 8 / _MAX_BLOCKS)
+
+
+@pytest.mark.parametrize("n", [257, 513])
+def test_sandwich_peak_memory_large(n):
+    # one output-sized buffer plus the temporaries of one left column
+    # block or one right band, a quarter of the buffer at these sizes;
+    # a second full-size buffer reads 2.0
+    peak, nbytes = _sandwich_peak(n, n, n, n)
+    assert peak <= 1.4 * nbytes
 
 
 @pytest.mark.parametrize("n", [32, 33])

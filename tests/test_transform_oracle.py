@@ -9,10 +9,11 @@ both quadrature rules (n < 6 and n >= 6); parameters have b != 0 of
 either sign and differ between the axes.
 
 `_sandwich` itself is checked against the four complex products on the
-pairs (q0 + i q1, q2 + i q3), on shapes where every dimension differs,
-and `_half` of the identity against the dense kernel; both references
-evaluate the kernel formula from `_side`'s arguments, so the tests do
-not depend on how a side stores its folded factors.  Fourier-mode
+pairs (q0 + i q1, q2 + i q3), on shapes where every dimension differs
+and on shapes that cut its right side into bands of output rows taken
+in either order, and `_half` of the identity against the dense kernel;
+both references evaluate the kernel formula from `_side`'s arguments,
+so the tests do not depend on how a side stores its folded factors.  Fourier-mode
 `charfn` and `invert_charfn` are checked against the direct e^{±iux}
 sums on a box and a frequency grid that are not centred on 0.
 """
@@ -26,6 +27,7 @@ from hypothesis import example, given, settings, strategies as st
 from qlct2d.field import GridSpec, SampledField, qnorm_values, quad_weights_1d
 from qlct2d.lct import LctParams, TransformParams, kernel_i, kernel_j
 from qlct2d.prob import CharFn, charfn, invert_charfn
+from qlct2d import transform
 from qlct2d.quaternion import Quaternion, conj, mul
 from qlct2d.transform import (Spectrum, _half, _sandwich, _side, forward,
                               inverse)
@@ -184,6 +186,53 @@ def test_sandwich_matches_four_products(operands):
     got = _sandwich(values, _side(*left), _side(*right))
     want = _four_product_sandwich(values, _kernel(left), _kernel(right).T)
     assert got.shape == (m, n, 4)
+    assert float(np.max(qnorm_values(got - want))) \
+        <= 1e-13 * float(np.max(qnorm_values(want)))
+
+
+# (n1, n2, m, n) for the right side's bands of output rows, which run
+# downwards when n > n2 and upwards otherwise, each overwriting rows of
+# the left result g in place; the test checks each case's band layout
+_BAND_CASES = {
+    "n>n2-2-bands-partial": ((5, 6, 9, 24), lambda m, n2, n, rows:
+                             n > n2 and len(rows) == 2 and m % rows[0]),
+    "n>n2-3-bands-partial": ((9, 12, 10, 20), lambda m, n2, n, rows:
+                             n > n2 and len(rows) == 3 and m % rows[0]),
+    "n<n2-m>n1-3-bands": ((7, 20, 15, 6), lambda m, n2, n, rows:
+                          n < n2 and len(rows) == 3 and not m % rows[0]),
+    "n<n2-m>n1-4-bands-partial": ((7, 20, 16, 6), lambda m, n2, n, rows:
+                                  n < n2 and len(rows) == 4
+                                  and m % rows[0]),
+    "m=1": ((8, 10, 1, 7), lambda m, n2, n, rows: rows == [1]),
+    "n>n2-5-bands-of-many-rows": ((33, 40, 300, 500),
+                                  lambda m, n2, n, rows:
+                                  n > n2 and len(rows) == 5
+                                  and m % rows[0] and rows[0] > 32),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAND_CASES))
+def test_banded_sandwich_matches_four_products(case, monkeypatch):
+    (n1, n2, m, n), layout = _BAND_CASES[case]
+    # nodes spanning about 2 keep the phases, and so the roundoff of the
+    # formula kernels, as small as in the drawn cases above
+    left = (1, (0.3, 2.0 / n1, n1), (-0.4, 2.0 / m, m), 0.4, 0.7, -0.3, 0.2,
+            1.5)
+    right = (-1, (0.1, 2.0 / n2, n2), (0.2, 2.0 / n, n), -0.6, -1.2, 0.8,
+             -0.1, 0.9)
+    rows = []
+
+    def half(z, side, out=None):
+        # the right side's one call per band, on its two pairs' columns
+        rows.append(z.shape[1] // 2)
+        return _half(z, side, out)
+
+    monkeypatch.setattr(transform, "_half", half)
+    values = np.random.default_rng(n1).standard_normal((n1, n2, 4))
+    got = _sandwich(values, _side(*left), _side(*right))
+    want = _four_product_sandwich(values, _kernel(left), _kernel(right).T)
+    assert layout(m, n2, n, sorted(rows, reverse=True))
+    assert got.shape == (m, n, 4) and got.base.nbytes == got.nbytes
     assert float(np.max(qnorm_values(got - want))) \
         <= 1e-13 * float(np.max(qnorm_values(want)))
 
