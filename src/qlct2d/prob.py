@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field, fields
+from functools import partial
 
 import numpy as np
 
@@ -165,8 +166,9 @@ def charfn(f: SampledField, freq: GridSpec, mode: str = "fourier",
     if params is not None:
         raise ValueError("fourier mode takes no params (use mode lct)")
     (x1, x2), (u, v) = _axes(f.spec), _axes(freq)
-    return CharFn(Spectrum(freq, _sandwich(f.values, _side(1, x1, u),
-                                           _side(1, x2, v))))
+    return CharFn(Spectrum(freq, _sandwich(f.values, (freq.n1, freq.n2),
+                                           partial(_side, 1, x1, u),
+                                           partial(_side, 1, x2, v))))
 
 
 def _abs_integral(f: SampledField, x1_factor=1.0) -> float:
@@ -234,9 +236,10 @@ def invert_charfn(cf: CharFn, space: GridSpec) -> SampledField:
     if cf.mode == "lct":
         return lct_inverse(cf.spectrum, space)
     (u, v), (x1, x2) = _axes(cf.spectrum.spec), _axes(space)
-    left = _side(-1, u, x1, amp=1.0 / (2.0 * math.pi) ** 2)
-    return SampledField(space, _sandwich(cf.spectrum.values, left,
-                                         _side(-1, v, x2)))
+    return SampledField(space, _sandwich(
+        cf.spectrum.values, (space.n1, space.n2),
+        partial(_side, -1, u, x1, amp=1.0 / (2.0 * math.pi) ** 2),
+        partial(_side, -1, v, x2)))
 
 
 def fd_moment(f: SampledField, m: int, n: int, h: float = 1e-3) -> Quaternion:

@@ -21,18 +21,25 @@ side's factors are built in that folded form once, so a half transform
 folds only the data.
 
 A transform holds one buffer the size of its output (or of the left
-side's result, if that is larger) and, at any time, the temporaries of
-one column block of the left side or one band of output rows of the
-right side, sized from the array shapes: a quarter of the buffer for
-large transforms, all of it for small ones.  Its traced peak is about
-1.25 times its output from 257² up.
+side's result, if that is larger), one side's factors, and at any time
+the temporaries of one column block of the left side or one band of
+output rows of the right side, sized from the array shapes: a quarter
+of the buffer for large transforms, all of it for small ones.  Each
+side is built just before its pass and dropped after it, and a fold
+makes at most three temporaries.  A whole transform, sides included,
+traces about 1.33 times its output from 513² up.  Before it builds
+anything, a transform whose estimated peak exceeds the machine's
+physical memory raises ValueError.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import os
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -91,6 +98,27 @@ _MAX_BLOCKS = 32
 # small transform is not cut into many blocks of numpy call overhead
 _SHARE = 4
 _CHUNK = 2 ** 18
+
+
+def _footprint(n1: int, n2: int, m: int, n: int) -> tuple[int, int, int]:
+    """(buffer, budget, peak) bytes of `_sandwich` from (n1, n2) values
+    onto an (m, n) output: its buffer of m * max(n2, n) quaternions, the
+    budget of one left column block or right band, and the estimate of
+    its peak, the two with the larger side's cos and sin."""
+    buf = 32 * m * max(n2, n)
+    budget = min(max(_CHUNK, buf // _SHARE), buf)
+    return buf, budget, buf + budget + 8 * max(-(-n1 // 2) * m,
+                                               -(-n2 // 2) * n)
+
+
+def _memory() -> float:
+    """The machine's physical memory in bytes, inf where the platform
+    does not give it."""
+    try:
+        size, pages = os.sysconf("SC_PAGE_SIZE"), os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return math.inf
+    return size * pages if size > 0 and pages > 0 else math.inf
 
 
 def _axes(spec: GridSpec) -> tuple[tuple, tuple]:
@@ -159,14 +187,20 @@ def _contract(z: np.ndarray, side: _Side, out: np.ndarray):
     rows of out that `_unfold` reads: two half-size real products in
     place of one complex product.  z is read in full before out is
     written, so the two may share memory.  The fold's temporaries are
-    at most four (⌈n/2⌉, k) arrays.
+    at most three (⌈n/2⌉, k) arrays: with a pre, the two products and
+    their difference, the sum taking the first product's place; without
+    one, the sum and the difference.
     """
     cos, sin, pre = side.cos, side.sin, side.pre
     (n, k), (h, mh), m = z.shape, cos.shape, len(side.post)
     ze, zo = z[n - h:], z[h - 1::-1]
-    if pre is not None:
+    if pre is None:
+        ze, zo = ze + zo, ze - zo
+    else:
         ze, zo = ze * pre[n - h:, None], zo * pre[h - 1::-1, None]
-    ze, zo = ze + zo, ze - zo
+        diff = ze - zo
+        ze += zo
+        zo = diff
     np.matmul(cos.T, ze.view(float), out=out[m - mh:].view(float))
     np.matmul(sin.T, zo.view(float), out=out[:m // 2].view(float))
 
@@ -184,9 +218,13 @@ def _half(z: np.ndarray, side: _Side, out: np.ndarray | None = None
     return out
 
 
-def _sandwich(values: np.ndarray, left: _Side, right: _Side) -> np.ndarray:
+def _sandwich(values: np.ndarray, shape: tuple[int, int],
+              left: Callable[[], _Side], right: Callable[[], _Side]
+              ) -> np.ndarray:
     """Quaternion sandwich sum_rc kl[m,r] * q[r,c] * kr[c,n] of the
-    factored kernels kl (left, unit i) and kr (right, unit j).
+    factored kernels kl (left, unit i) and kr (right, unit j) onto an
+    output of the given (m, n) shape; left() and right() build the two
+    `_Side`s.
 
     Write q = z1 + z2 j with z1 = q0 + q1 i, z2 = q2 + q3 i: a left
     factor in span{1,i} multiplies z1 and z2, the values viewed as
@@ -195,33 +233,48 @@ def _sandwich(values: np.ndarray, left: _Side, right: _Side) -> np.ndarray:
     side is the same complex half transform, with j in the role of i, of
     the transposed pairs (q0, q2) and (q1, q3).
 
-    Both sides run in one flat buffer of m * max(n2, n) quaternions.
-    The left side writes its (m, n2) result g there in column blocks.
-    The right side then runs in bands of output rows: each band's rows
-    of g are copied into a small block of the two transposed pairs,
-    transformed there, and written back into the same rows of the
-    buffer, now in the (m, n) layout of the output.  A band's output
-    rows end no later than its rows of g when n <= n2, and begin no
-    earlier when n > n2, so the bands run upwards in the first case and
-    downwards in the second: no band overwrites a row of g still to be
-    read.
+    Both sides run in one flat buffer of m * max(n2, n) quaternions, and
+    each side is built just before its pass and dropped after it, so one
+    side's factors are alive at a time.  The left side writes its
+    (m, n2) result g there in column blocks.  The right side then runs
+    in bands of output rows: each band's rows of g are copied into a
+    small block of the two transposed pairs, transformed there, and
+    written back into the same rows of the buffer, now in the (m, n)
+    layout of the output.  A band's output rows end no later than its
+    rows of g when n <= n2, and begin no earlier when n > n2, so the
+    bands run upwards in the first case and downwards in the second: no
+    band overwrites a row of g still to be read.
+
+    The block width and band height are sized for four fold
+    temporaries, one more than `_contract` makes: at the ledger's sizes
+    they keep every BLAS product within 128 columns, whose bits do not
+    depend on the BLAS thread count.  Before anything is built, a
+    `_footprint` estimate above the machine's physical memory raises
+    ValueError.
     """
-    (n1, n2), m, n = values.shape[:2], len(left.post), len(right.post)
+    (n1, n2), (m, n) = values.shape[:2], shape
+    (nbuf, budget, peak), memory = _footprint(n1, n2, m, n), _memory()
+    if peak > memory:
+        raise ValueError(
+            f"a transform of {n1}x{n2} nodes onto {m}x{n} needs about "
+            f"{peak / 1e9:.1f} GB, more than this machine's "
+            f"{memory / 1e9:.1f} GB of memory")
     z = np.ascontiguousarray(values).view(complex).reshape(n1, 2 * n2)
-    buf = np.empty(m * max(n2, n) * 4)
-    budget = min(max(_CHUNK, buf.nbytes // _SHARE), buf.nbytes)
+    buf = np.empty(nbuf // 8)
     g = buf[:m * n2 * 4].reshape(m, n2, 4)
     gz = g.view(complex).reshape(m, 2 * n2)
-    # a column of a left block has four ⌈n1/2⌉-row fold temporaries
-    step = max(budget // (64 * left.cos.shape[0]), -(-2 * n2 // _MAX_BLOCKS))
+    # a column of a left block: four ⌈n1/2⌉-row fold temporaries
+    step = max(budget // (64 * -(-n1 // 2)), -(-2 * n2 // _MAX_BLOCKS))
+    side = left()
     for c in range(0, 2 * n2, step):
-        _contract(z[:, c:c + step], left, gz[:, c:c + step])
-    _unfold(left, gz)
-    del z, gz
+        _contract(z[:, c:c + step], side, gz[:, c:c + step])
+    _unfold(side, gz)
+    del z, gz, side
     out = buf[:m * n * 4].reshape(m, n, 4)
-    # a row of a band has two columns in the band's block and in each of
+    # a row of a band: two columns in the band's block and in each of
     # four ⌈n2/2⌉-row fold temporaries
-    w = max(budget // (32 * max(n2, n) + 128 * right.cos.shape[0]), 1)
+    w = max(budget // (32 * max(n2, n) + 128 * -(-n2 // 2)), 1)
+    side = right()
     # the block holds a band's (q0, q2) pairs, then its (q1, q3) pairs,
     # and then their transforms, which overwrite them once folded
     yb = np.empty(max(n2, n) * 2 * w, dtype=complex)
@@ -233,7 +286,7 @@ def _sandwich(values: np.ndarray, left: _Side, right: _Side) -> np.ndarray:
         y.real[...] = gb[..., :2].transpose(1, 2, 0)
         y.imag[...] = gb[..., 2:].transpose(1, 2, 0)
         t = yb[:n * 2 * k].reshape(n, 2, k)
-        _half(y.reshape(n2, 2 * k), right, out=t.reshape(n, 2 * k))
+        _half(y.reshape(n2, 2 * k), side, out=t.reshape(n, 2 * k))
         for j in (0, 1):
             ob[..., j], ob[..., j + 2] = t.real[:, j].T, t.imag[:, j].T
     del g, out, gb, ob
@@ -247,8 +300,10 @@ def forward(f: SampledField, params: TransformParams,
             freq: GridSpec) -> Spectrum:
     """Forward transform of f onto the given frequency grid."""
     (x1, x2), (u1, u2) = _axes(f.spec), _axes(freq)
-    return Spectrum(freq, _sandwich(f.values, _lct_side(params.A1, 1, x1, u1),
-                                    _lct_side(params.A2, 1, x2, u2)), params)
+    return Spectrum(freq, _sandwich(f.values, (freq.n1, freq.n2),
+                                    partial(_lct_side, params.A1, 1, x1, u1),
+                                    partial(_lct_side, params.A2, 1, x2, u2)),
+                    params)
 
 
 def inverse(s: Spectrum, space: GridSpec) -> SampledField:
@@ -261,9 +316,10 @@ def inverse(s: Spectrum, space: GridSpec) -> SampledField:
     if s.params is None:
         raise ValueError("spectrum carries no transform parameters")
     (u1, u2), (x1, x2) = _axes(s.spec), _axes(space)
-    return SampledField(space, _sandwich(s.values,
-                                         _lct_side(s.params.A1, -1, u1, x1),
-                                         _lct_side(s.params.A2, -1, u2, x2)))
+    return SampledField(space, _sandwich(
+        s.values, (space.n1, space.n2),
+        partial(_lct_side, s.params.A1, -1, u1, x1),
+        partial(_lct_side, s.params.A2, -1, u2, x2)))
 
 
 def parseval_ratio(f: SampledField, params: TransformParams,

@@ -222,6 +222,23 @@ def test_invert_without_grid_exits_3(tmp_path):
                  "--out", str(tmp_path / "o.csv")]) == 3
 
 
+def test_grid_beyond_physical_memory_exits_3_and_writes_nothing(tmp_path,
+                                                                 capsys):
+    # the estimate of a 200001^2 output's peak, about 1.6 TB, exceeds
+    # the memory of the machines the tests run on: the sandwich refuses
+    # before it allocates
+    f = _gaussian(17, 2.0)
+    src, spec_path = str(tmp_path / "f.csv"), str(tmp_path / "s.json")
+    write_field(f, src)
+    assert main(["transform", src, "--freq-grid=-4,4,-4,4,17,17",
+                 "--out", spec_path]) == 0
+    before = sorted(tmp_path.iterdir())
+    assert main(["invert", spec_path, "--grid=-8,8,-8,8,200001,200001",
+                 "--out", str(tmp_path / "o.csv")]) == 3
+    assert "GB" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
+
+
 @pytest.mark.parametrize("argv, option", [
     (["invert", "missing.json"], "--grid"),
     (["charfn", "missing.csv"], "--freq-grid"),

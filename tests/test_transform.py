@@ -9,8 +9,9 @@ import pytest
 from qlct2d.field import GridSpec, SampledField, l2_norm, quad_weights_1d
 from qlct2d.lct import LctParams, TransformParams, fourier_params
 from qlct2d.prob import charfn
-from qlct2d.transform import (_MAX_BLOCKS, Spectrum, _lct_side, _sandwich,
-                              _side, correlate, forward, inverse,
+from qlct2d import transform
+from qlct2d.transform import (_MAX_BLOCKS, Spectrum, _footprint, _lct_side,
+                              _sandwich, _side, correlate, forward, inverse,
                               parseval_ratio, phase_strip, product_residuals)
 from qlct2d.verify import bump_field, gaussian_test_field, structured_pair
 
@@ -93,14 +94,15 @@ def test_non_contiguous_values_give_the_same_spectrum(layout):
 
 
 def _sandwich_peak(n1: int, n2: int, m: int, n: int) -> tuple[int, int]:
-    """(traced peak, result bytes) of one sandwich of random values."""
+    """(traced peak, result bytes) of one sandwich of random values, its
+    two sides built before the trace starts."""
     rng = np.random.default_rng(7)
     values = rng.standard_normal((n1, n2, 4))
     left = _side(1, (0.5, 0.1, n1), (-0.2, 0.3, m), 0.4, 0.7, -0.3, 0.2, 0.5)
     right = _side(-1, (0.0, 0.2, n2), (0.3, 0.1, n), -0.6, -1.2, 0.8, 0.0, 1.0)
     tracemalloc.start()
     try:
-        result = _sandwich(values, left, right)
+        result = _sandwich(values, (m, n), lambda: left, lambda: right)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -130,6 +132,63 @@ def test_sandwich_peak_memory_large(n):
     # a second full-size buffer reads 2.0
     peak, nbytes = _sandwich_peak(n, n, n, n)
     assert peak <= 1.4 * nbytes
+
+
+@pytest.mark.parametrize("n", [257, 513])
+def test_transform_peak_memory_with_its_sides(n):
+    # forward and inverse build each kernel side just before its pass
+    # and drop it after, so above the output-sized buffer and one block's
+    # temporaries only one side's cos and sin (an eighth of a square
+    # output) is alive; both sides alive through both passes read 1.51
+    c, s = math.cos(0.6), math.sin(0.6)
+    rot = LctParams(c, s, -s, c)
+    f = gaussian_test_field(n)
+    spectrum = None
+    for run in (lambda: forward(f, TransformParams(rot, rot), f.spec),
+                lambda: inverse(spectrum, f.spec)):
+        tracemalloc.start()
+        try:
+            result = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.42 * result.values.nbytes
+        spectrum = result
+
+
+def test_transform_beyond_physical_memory_raises_before_allocating():
+    f = gaussian_test_field(9)
+    freq = GridSpec(-4.0, 4.0, -4.0, 4.0, 200001, 200001)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="GB"):
+            forward(f, FOUR, freq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_memory_cap_is_the_footprint_estimate(monkeypatch):
+    # the cap compares _footprint's estimate, the one _sandwich sizes
+    # its buffer and budget by, with the machine's memory
+    f = gaussian_test_field(9)
+    freq = GridSpec(-4.0, 4.0, -4.0, 4.0, 5, 7)
+    peak = _footprint(9, 9, 5, 7)[2]
+    monkeypatch.setattr(transform, "_memory", lambda: peak - 1)
+    with pytest.raises(ValueError, match="GB"):
+        forward(f, FOUR, freq)
+    monkeypatch.setattr(transform, "_memory", lambda: peak)
+    assert forward(f, FOUR, freq).values.shape == (5, 7, 4)
+
+
+@pytest.mark.parametrize("error", [ValueError, OSError, AttributeError])
+def test_no_memory_cap_where_the_platform_gives_none(monkeypatch, error):
+    def sysconf(name):
+        raise error(name)
+
+    monkeypatch.setattr(transform.os, "sysconf", sysconf)
+    assert transform._memory() == math.inf
 
 
 @pytest.mark.parametrize("n", [32, 33])

@@ -19,6 +19,7 @@ sums on a box and a frequency grid that are not centred on 0.
 """
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -183,7 +184,8 @@ def test_sandwich_matches_four_products(operands):
     left, right, seed = operands
     (n1, m), (n2, n) = ((a[1][2], a[2][2]) for a in (left, right))
     values = np.random.default_rng(seed).standard_normal((n1, n2, 4))
-    got = _sandwich(values, _side(*left), _side(*right))
+    got = _sandwich(values, (m, n), partial(_side, *left),
+                    partial(_side, *right))
     want = _four_product_sandwich(values, _kernel(left), _kernel(right).T)
     assert got.shape == (m, n, 4)
     assert float(np.max(qnorm_values(got - want))) \
@@ -229,7 +231,8 @@ def test_banded_sandwich_matches_four_products(case, monkeypatch):
 
     monkeypatch.setattr(transform, "_half", half)
     values = np.random.default_rng(n1).standard_normal((n1, n2, 4))
-    got = _sandwich(values, _side(*left), _side(*right))
+    got = _sandwich(values, (m, n), partial(_side, *left),
+                    partial(_side, *right))
     want = _four_product_sandwich(values, _kernel(left), _kernel(right).T)
     assert layout(m, n2, n, sorted(rows, reverse=True))
     assert got.shape == (m, n, 4) and got.base.nbytes == got.nbytes
