@@ -66,11 +66,12 @@ def _write_csv(path: str, spec: GridSpec, values: np.ndarray,
             % tuple(table.ravel().tolist()))
     side = json.dumps(_header_dict(spec, params), indent=1) + "\n"
     # both strings exist before either file is opened, so a value that
-    # cannot be encoded leaves no file behind
-    with open(path, "w", newline="") as fh:
-        fh.write(body)
+    # cannot be encoded leaves no file behind; the sidecar goes first, so
+    # a sidecar that cannot be written leaves no CSV without its header
     with open(_sidecar_path(path), "w") as fh:
         fh.write(side)
+    with open(path, "w", newline="") as fh:
+        fh.write(body)
 
 
 def _node_columns(spec: GridSpec) -> np.ndarray:

@@ -23,13 +23,14 @@ folds only the data.
 A transform holds one buffer the size of its output (or of the left
 side's result, if that is larger), one side's factors, and at any time
 the temporaries of one column block of the left side or one band of
-output rows of the right side, sized from the array shapes: a quarter
-of the buffer for large transforms, all of it for small ones.  Each
-side is built just before its pass and dropped after it, and a fold
-makes at most three temporaries.  A whole transform, sides included,
-traces about 1.33 times its output from 513² up.  Before it builds
-anything, a transform whose estimated peak exceeds the machine's
-physical memory raises ValueError.
+output rows of the right side: a quarter of the buffer for large
+transforms, all of it for small ones.  One function, `_sizes`, derives
+the buffer, the block width, the band height and the peak estimate
+from the array shapes.  Each side is built just before its pass and
+dropped after it, and a fold makes at most three temporaries.  A whole
+transform, sides included, traces about 1.33 times its output from
+513² up.  Before it builds anything, a transform whose estimated peak
+exceeds the machine's physical memory raises ValueError.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ class Spectrum(SampledField):
 class _Side:
     """One side's weighted kernel amp e^{σ u (α p² + β p q + γ q² + φ)} w(p)
     from input node p onto output node q, u the side's unit, stored
-    folded for `_half`.
+    folded for `_contract` and `_unfold`.
 
     On centred nodes p = μp + s, q = μq + t it factors as
     pre(s) e^{σ u β s t} post(t), whose middle factor has a cosine even
@@ -100,15 +101,26 @@ _SHARE = 4
 _CHUNK = 2 ** 18
 
 
-def _footprint(n1: int, n2: int, m: int, n: int) -> tuple[int, int, int]:
-    """(buffer, budget, peak) bytes of `_sandwich` from (n1, n2) values
-    onto an (m, n) output: its buffer of m * max(n2, n) quaternions, the
-    budget of one left column block or right band, and the estimate of
-    its peak, the two with the larger side's cos and sin."""
+def _sizes(n1: int, n2: int, m: int, n: int) -> tuple[int, int, int, int]:
+    """(buffer, step, rows, peak) of `_sandwich` from (n1, n2) values
+    onto an (m, n) output: the bytes of its buffer of m * max(n2, n)
+    quaternions, the complex columns of a left block, the output rows of
+    a right band, and the estimate of its peak bytes, the buffer, one
+    block's or band's budget and the larger side's cos and sin.
+
+    The block width and band height are sized for four fold
+    temporaries, one more than `_contract` makes: at the ledger's sizes
+    they keep every BLAS product within 128 columns, whose bits do not
+    depend on the BLAS thread count."""
     buf = 32 * m * max(n2, n)
     budget = min(max(_CHUNK, buf // _SHARE), buf)
-    return buf, budget, buf + budget + 8 * max(-(-n1 // 2) * m,
-                                               -(-n2 // 2) * n)
+    # a column of a left block: four ⌈n1/2⌉-row fold temporaries
+    step = max(budget // (64 * -(-n1 // 2)), -(-2 * n2 // _MAX_BLOCKS))
+    # a row of a band: two columns in the band's block and in each of
+    # four ⌈n2/2⌉-row fold temporaries
+    rows = max(budget // (32 * max(n2, n) + 128 * -(-n2 // 2)), 1)
+    return buf, step, rows, buf + budget + 8 * max(-(-n1 // 2) * m,
+                                                   -(-n2 // 2) * n)
 
 
 def _memory() -> float:
@@ -205,19 +217,6 @@ def _contract(z: np.ndarray, side: _Side, out: np.ndarray):
     np.matmul(sin.T, zo.view(float), out=out[:m // 2].view(float))
 
 
-def _half(z: np.ndarray, side: _Side, out: np.ndarray | None = None
-          ) -> np.ndarray:
-    """The complex (m, k) sum over the rows s of the complex (n, k) z
-    with the side's kernel pre(s) e^{σ i β s t} post(t), i standing for
-    its unit, written into out when given; out may share memory with z
-    (see `_contract`)."""
-    if out is None:
-        out = np.empty((len(side.post), z.shape[1]), dtype=complex)
-    _contract(z, side, out)
-    _unfold(side, out)
-    return out
-
-
 def _sandwich(values: np.ndarray, shape: tuple[int, int],
               left: Callable[[], _Side], right: Callable[[], _Side]
               ) -> np.ndarray:
@@ -245,15 +244,12 @@ def _sandwich(values: np.ndarray, shape: tuple[int, int],
     bands run upwards in the first case and downwards in the second: no
     band overwrites a row of g still to be read.
 
-    The block width and band height are sized for four fold
-    temporaries, one more than `_contract` makes: at the ledger's sizes
-    they keep every BLAS product within 128 columns, whose bits do not
-    depend on the BLAS thread count.  Before anything is built, a
-    `_footprint` estimate above the machine's physical memory raises
-    ValueError.
+    `_sizes` gives the buffer, the block width, the band height and
+    the peak estimate; before anything is built, a peak above the
+    machine's physical memory raises ValueError.
     """
     (n1, n2), (m, n) = values.shape[:2], shape
-    (nbuf, budget, peak), memory = _footprint(n1, n2, m, n), _memory()
+    (nbuf, step, rows, peak), memory = _sizes(n1, n2, m, n), _memory()
     if peak > memory:
         raise ValueError(
             f"a transform of {n1}x{n2} nodes onto {m}x{n} needs about "
@@ -263,30 +259,26 @@ def _sandwich(values: np.ndarray, shape: tuple[int, int],
     buf = np.empty(nbuf // 8)
     g = buf[:m * n2 * 4].reshape(m, n2, 4)
     gz = g.view(complex).reshape(m, 2 * n2)
-    # a column of a left block: four ⌈n1/2⌉-row fold temporaries
-    step = max(budget // (64 * -(-n1 // 2)), -(-2 * n2 // _MAX_BLOCKS))
     side = left()
     for c in range(0, 2 * n2, step):
         _contract(z[:, c:c + step], side, gz[:, c:c + step])
     _unfold(side, gz)
     del z, gz, side
     out = buf[:m * n * 4].reshape(m, n, 4)
-    # a row of a band: two columns in the band's block and in each of
-    # four ⌈n2/2⌉-row fold temporaries
-    w = max(budget // (32 * max(n2, n) + 128 * -(-n2 // 2)), 1)
     side = right()
     # the block holds a band's (q0, q2) pairs, then its (q1, q3) pairs,
     # and then their transforms, which overwrite them once folded
-    yb = np.empty(max(n2, n) * 2 * w, dtype=complex)
-    starts = range(0, m, w)
+    yb = np.empty(max(n2, n) * 2 * rows, dtype=complex)
+    starts = range(0, m, rows)
     for a in starts if n <= n2 else reversed(starts):
-        gb, ob = g[a:a + w], out[a:a + w]
+        gb, ob = g[a:a + rows], out[a:a + rows]
         k = len(gb)
         y = yb[:n2 * 2 * k].reshape(n2, 2, k)
         y.real[...] = gb[..., :2].transpose(1, 2, 0)
         y.imag[...] = gb[..., 2:].transpose(1, 2, 0)
         t = yb[:n * 2 * k].reshape(n, 2, k)
-        _half(y.reshape(n2, 2 * k), side, out=t.reshape(n, 2 * k))
+        _contract(y.reshape(n2, 2 * k), side, t.reshape(n, 2 * k))
+        _unfold(side, t.reshape(n, 2 * k))
         for j in (0, 1):
             ob[..., j], ob[..., j + 2] = t.real[:, j].T, t.imag[:, j].T
     del g, out, gb, ob

@@ -372,6 +372,16 @@ def test_sidecar_directory_exits_2(tmp_path, capsys):
     assert f"cannot read {sidecar}" in capsys.readouterr().err
 
 
+def test_unwritable_sidecar_exits_2_and_leaves_no_csv(tmp_path, monkeypatch,
+                                                     capsys):
+    monkeypatch.chdir(tmp_path)
+    write_field(_gaussian(9, 2.0), "pdf.csv")
+    (tmp_path / "out.csv.json").mkdir()
+    assert main(["transform", "pdf.csv", "--out", "out.csv"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out.csv").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["transform", "f.csv"],
     ["invert", "s.json", "--grid=-2,2,-2,2,9,9"],

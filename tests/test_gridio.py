@@ -312,6 +312,15 @@ def test_failed_write_leaves_no_file(tmp_path, name):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_unwritable_sidecar_leaves_no_csv(tmp_path):
+    # a CSV whose sidecar could not be written would read back without
+    # its grid and transform parameters
+    (tmp_path / "out.csv.json").mkdir()
+    with pytest.raises(OSError):
+        write_spectrum(_spectrum(), str(tmp_path / "out.csv"))
+    assert not (tmp_path / "out.csv").exists()
+
+
 # a record's field order decides the bytes of sidecars, headers, the
 # ledger and the moment and density reports, so each layout is pinned
 # here, key order included

@@ -10,10 +10,11 @@ from qlct2d.field import GridSpec, SampledField, l2_norm, quad_weights_1d
 from qlct2d.lct import LctParams, TransformParams, fourier_params
 from qlct2d.prob import charfn
 from qlct2d import transform
-from qlct2d.transform import (_MAX_BLOCKS, Spectrum, _footprint, _lct_side,
-                              _sandwich, _side, correlate, forward, inverse,
+from qlct2d.transform import (_MAX_BLOCKS, Spectrum, _lct_side, _sandwich,
+                              _side, _sizes, correlate, forward, inverse,
                               parseval_ratio, phase_strip, product_residuals)
-from qlct2d.verify import bump_field, gaussian_test_field, structured_pair
+from qlct2d.verify import (bump_field, gaussian_test_field, run_verify,
+                           structured_pair)
 
 FOUR = fourier_params()
 
@@ -170,16 +171,37 @@ def test_transform_beyond_physical_memory_raises_before_allocating():
 
 
 def test_memory_cap_is_the_footprint_estimate(monkeypatch):
-    # the cap compares _footprint's estimate, the one _sandwich sizes
-    # its buffer and budget by, with the machine's memory
+    # the cap compares the peak of _sizes, the call _sandwich sizes its
+    # buffer, blocks and bands by, with the machine's memory
     f = gaussian_test_field(9)
     freq = GridSpec(-4.0, 4.0, -4.0, 4.0, 5, 7)
-    peak = _footprint(9, 9, 5, 7)[2]
+    peak = _sizes(9, 9, 5, 7)[3]
     monkeypatch.setattr(transform, "_memory", lambda: peak - 1)
     with pytest.raises(ValueError, match="GB"):
         forward(f, FOUR, freq)
     monkeypatch.setattr(transform, "_memory", lambda: peak)
     assert forward(f, FOUR, freq).values.shape == (5, 7, 4)
+
+
+def test_ledger_products_stay_within_128_columns(monkeypatch):
+    # every BLAS product of a ledger or of the 257² CLI chain
+    # (transform, invert, charfn) is at most 128 float columns wide, as
+    # the ledgers' byte-identity across BLAS thread counts needs: a left
+    # block's step complex columns of z, a right band's 2 * k complex
+    # columns for its k output rows
+    shapes = {(257, 257, 257, 257), (257, 257, 65, 65)}
+
+    def sizes(*shape):
+        shapes.add(shape)
+        return _sizes(*shape)
+
+    monkeypatch.setattr(transform, "_sizes", sizes)
+    run_verify(quick=True)
+    run_verify()
+    for n1, n2, m, n in shapes:
+        _, step, rows, _ = _sizes(n1, n2, m, n)
+        assert 2 * min(step, 2 * n2) <= 128, (n1, n2, m, n)
+        assert 4 * min(rows, m) <= 128, (n1, n2, m, n)
 
 
 @pytest.mark.parametrize("error", [ValueError, OSError, AttributeError])

@@ -11,11 +11,12 @@ either sign and differ between the axes.
 `_sandwich` itself is checked against the four complex products on the
 pairs (q0 + i q1, q2 + i q3), on shapes where every dimension differs
 and on shapes that cut its right side into bands of output rows taken
-in either order, and `_half` of the identity against the dense kernel;
-both references evaluate the kernel formula from `_side`'s arguments,
-so the tests do not depend on how a side stores its folded factors.  Fourier-mode
-`charfn` and `invert_charfn` are checked against the direct e^{±iux}
-sums on a box and a frequency grid that are not centred on 0.
+in either order, and the half transform of the identity, `_contract`
+then `_unfold`, against the dense kernel; both references evaluate the
+kernel formula from `_side`'s arguments, so the tests do not depend on
+how a side stores its folded factors.  Fourier-mode `charfn` and
+`invert_charfn` are checked against the direct e^{±iux} sums on a box
+and a frequency grid that are not centred on 0.
 """
 
 import math
@@ -28,10 +29,9 @@ from hypothesis import example, given, settings, strategies as st
 from qlct2d.field import GridSpec, SampledField, qnorm_values, quad_weights_1d
 from qlct2d.lct import LctParams, TransformParams, kernel_i, kernel_j
 from qlct2d.prob import CharFn, charfn, invert_charfn
-from qlct2d import transform
 from qlct2d.quaternion import Quaternion, conj, mul
-from qlct2d.transform import (Spectrum, _half, _sandwich, _side, forward,
-                              inverse)
+from qlct2d.transform import (Spectrum, _contract, _sandwich, _side, _sizes,
+                              _unfold, forward, inverse)
 
 
 def _sandwich_sum(values: np.ndarray, src: GridSpec, dst: GridSpec,
@@ -214,7 +214,7 @@ _BAND_CASES = {
 
 
 @pytest.mark.parametrize("case", list(_BAND_CASES))
-def test_banded_sandwich_matches_four_products(case, monkeypatch):
+def test_banded_sandwich_matches_four_products(case):
     (n1, n2, m, n), layout = _BAND_CASES[case]
     # nodes spanning about 2 keep the phases, and so the roundoff of the
     # formula kernels, as small as in the drawn cases above
@@ -222,19 +222,13 @@ def test_banded_sandwich_matches_four_products(case, monkeypatch):
             1.5)
     right = (-1, (0.1, 2.0 / n2, n2), (0.2, 2.0 / n, n), -0.6, -1.2, 0.8,
              -0.1, 0.9)
-    rows = []
-
-    def half(z, side, out=None):
-        # the right side's one call per band, on its two pairs' columns
-        rows.append(z.shape[1] // 2)
-        return _half(z, side, out)
-
-    monkeypatch.setattr(transform, "_half", half)
+    rows = _sizes(n1, n2, m, n)[2]
+    heights = [min(rows, m - a) for a in range(0, m, rows)]
     values = np.random.default_rng(n1).standard_normal((n1, n2, 4))
     got = _sandwich(values, (m, n), partial(_side, *left),
                     partial(_side, *right))
     want = _four_product_sandwich(values, _kernel(left), _kernel(right).T)
-    assert layout(m, n2, n, sorted(rows, reverse=True))
+    assert layout(m, n2, n, heights)
     assert got.shape == (m, n, 4) and got.base.nbytes == got.nbytes
     assert float(np.max(qnorm_values(got - want))) \
         <= 1e-13 * float(np.max(qnorm_values(want)))
@@ -245,7 +239,10 @@ def test_banded_sandwich_matches_four_products(case, monkeypatch):
 def test_side_factors_its_kernel(n_in, n_out, data):
     # the half transform of the identity is the side's dense kernel
     args = data.draw(_side_args(n_in, n_out))
-    got = _half(np.eye(n_in, dtype=complex), _side(*args))
+    side = _side(*args)
+    got = np.empty((n_out, n_in), dtype=complex)
+    _contract(np.eye(n_in, dtype=complex), side, got)
+    _unfold(side, got)
     want = _kernel(args)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
