@@ -6,9 +6,9 @@ are JSON files with per-axis unimodular matrices.
 
 Exit codes: 0 success, 2 input/parse error or an unwritable --out
 path, 3 config/invariant violation, 4 verification failure.  Each
-subcommand parses its options, and checks that --out can be written,
-before it reads its input file, so a bad option exits before any large
-allocation.
+subcommand parses its options, and checks that --out (and a CSV's
+sidecar) can be written, before it reads its input file, so a bad
+option exits before any large allocation.
 """
 
 from __future__ import annotations
@@ -20,8 +20,9 @@ import sys
 from dataclasses import fields
 
 from .field import GridSpec
-from .gridio import (ParseError, _from_header, _load_json, read_field,
-                     read_spectrum, write_field, write_spectrum)
+from .gridio import (ParseError, _codec, _from_header, _load_json,
+                     _sidecar_path, _write_csv, read_field, read_spectrum,
+                     write_field, write_spectrum)
 from .lct import LctParams, TransformParams, fourier_params
 from .prob import charfn, covariance
 from .transform import forward, inverse
@@ -118,10 +119,9 @@ def _cmd_charfn(args) -> int:
         raise ValueError("charfn requires --freq-grid")
     freq = _parse_grid("--freq-grid", args.freq_grid)
     params = _load_params(args.params) if args.params else None
-    if args.mode == "lct" and params is None:
-        params = fourier_params()
     f = read_field(args.input)
-    cf = charfn(f, freq, mode=args.mode, params=params)
+    # --params picks the LCT kernels, and no --params the Fourier ones
+    cf = charfn(f, freq, "fourier" if params is None else "lct", params)
     write_spectrum(cf.spectrum, args.out, args.format)
     return EXIT_OK
 
@@ -152,7 +152,6 @@ _OPTIONS = {
     "--params": dict(help="transform parameter JSON file"),
     "--grid": dict(help="x1min,x1max,x2min,x2max,n1,n2"),
     "--freq-grid": dict(help="frequency grid, same form as --grid"),
-    "--mode": dict(choices=("fourier", "lct"), default="fourier"),
     "--format": dict(choices=("csv", "json"), default=None,
                      help="output format (default: from extension)"),
     "--quick": dict(action="store_true",
@@ -182,7 +181,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add("invert", "inverse transform of a spectrum", _cmd_invert,
         "--params", "--grid", "--format")
     add("charfn", "characteristic function of a density", _cmd_charfn,
-        "--params", "--freq-grid", "--mode", "--format")
+        "--params", "--freq-grid", "--format")
     add("moments", "moment and covariance report", _cmd_moments)
     add("verify", "run the verification suite", _cmd_verify,
         "--quick", "--tol")
@@ -194,6 +193,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.out is not None:
             _check_out(args.out)
+            # a CSV has a JSON sidecar; moments and verify write JSON
+            fmt = getattr(args, "format", "json")
+            if _codec(args.out, fmt)[1] is _write_csv:
+                _check_out(_sidecar_path(args.out))
         return args.func(args)
     except (ParseError, OSError) as e:
         # an OSError here is an --out path that cannot be written; every

@@ -21,16 +21,17 @@ side's factors are built in that folded form once, so a half transform
 folds only the data.
 
 A transform holds one buffer the size of its output (or of the left
-side's result, if that is larger), one side's factors, and at any time
-the temporaries of one column block of the left side or one band of
-output rows of the right side: a quarter of the buffer for large
-transforms, all of it for small ones.  One function, `_sizes`, derives
-the buffer, the block width, the band height and the peak estimate
-from the array shapes.  Each side is built just before its pass and
-dropped after it, and a fold makes at most three temporaries.  A whole
-transform, sides included, traces about 1.33 times its output from
-513² up.  Before it builds anything, a transform whose estimated peak
-exceeds the machine's physical memory raises ValueError.
+side's result, if that is larger), that result at its end and the
+output at its start; one side's factors; and at any time the
+temporaries of one column block of the left side or one band of output
+rows of the right side: a quarter of the buffer for large transforms,
+all of it for small ones.  One function, `_sizes`, derives the buffer,
+the block width, the band height and the peak estimate from the array
+shapes.  Each side is built just before its pass and dropped after it,
+and a fold makes at most three temporaries.  A whole transform, sides
+included, traces about 1.33 times its output from 513² up.  Before it
+builds anything, a transform whose estimated peak exceeds the machine's
+physical memory raises ValueError.
 """
 
 from __future__ import annotations
@@ -235,14 +236,13 @@ def _sandwich(values: np.ndarray, shape: tuple[int, int],
     Both sides run in one flat buffer of m * max(n2, n) quaternions, and
     each side is built just before its pass and dropped after it, so one
     side's factors are alive at a time.  The left side writes its
-    (m, n2) result g there in column blocks.  The right side then runs
-    in bands of output rows: each band's rows of g are copied into a
-    small block of the two transposed pairs, transformed there, and
-    written back into the same rows of the buffer, now in the (m, n)
-    layout of the output.  A band's output rows end no later than its
-    rows of g when n <= n2, and begin no earlier when n > n2, so the
-    bands run upwards in the first case and downwards in the second: no
-    band overwrites a row of g still to be read.
+    (m, n2) result g at the end of the buffer, in column blocks.  The
+    right side then runs upwards in bands of output rows: each band's
+    rows of g are copied into a small block of the two transposed pairs,
+    transformed there, and written into the same rows of the output, in
+    its (m, n) layout at the start of the buffer.  Output rows [0, r)
+    end no later than g's row r begins, as r (n - n2) <= m max(0,
+    n - n2), so no band overwrites a row of g still to be read.
 
     `_sizes` gives the buffer, the block width, the band height and
     the peak estimate; before anything is built, a peak above the
@@ -257,7 +257,7 @@ def _sandwich(values: np.ndarray, shape: tuple[int, int],
             f"{memory / 1e9:.1f} GB of memory")
     z = np.ascontiguousarray(values).view(complex).reshape(n1, 2 * n2)
     buf = np.empty(nbuf // 8)
-    g = buf[:m * n2 * 4].reshape(m, n2, 4)
+    g = buf[len(buf) - m * n2 * 4:].reshape(m, n2, 4)
     gz = g.view(complex).reshape(m, 2 * n2)
     side = left()
     for c in range(0, 2 * n2, step):
@@ -269,8 +269,7 @@ def _sandwich(values: np.ndarray, shape: tuple[int, int],
     # the block holds a band's (q0, q2) pairs, then its (q1, q3) pairs,
     # and then their transforms, which overwrite them once folded
     yb = np.empty(max(n2, n) * 2 * rows, dtype=complex)
-    starts = range(0, m, rows)
-    for a in starts if n <= n2 else reversed(starts):
+    for a in range(0, m, rows):
         gb, ob = g[a:a + rows], out[a:a + rows]
         k = len(gb)
         y = yb[:n2 * 2 * k].reshape(n2, 2, k)

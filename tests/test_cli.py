@@ -81,15 +81,20 @@ def test_charfn_command(tmp_path):
     assert np.max(np.abs(got.values - want.values)) <= 1e-9
 
 
-def test_charfn_params_without_lct_mode_exits_3(tmp_path, capsys):
+def test_charfn_params_selects_the_lct_kernels(tmp_path):
+    # --params alone picks the canonical-transform kernels: the output is
+    # the forward transform with those parameters, byte for byte
+    f = _gaussian(17, 2.0)
     src = str(tmp_path / "field.csv")
-    out = tmp_path / "cf.json"
-    write_field(_gaussian(17, 2.0), src)
+    out, want = tmp_path / "cf.json", tmp_path / "want.json"
+    write_field(f, src)
     params = _write_params(tmp_path / "p.json", 1.0, 0.5, 0.0, 1.0)
     assert main(["charfn", src, "--freq-grid=-4,4,-4,4,9,9",
-                 "--params", params, "--out", str(out)]) == 3
-    assert not out.exists()
-    assert "mode lct" in capsys.readouterr().err
+                 "--params", params, "--out", str(out)]) == 0
+    p = LctParams(1.0, 0.5, 0.0, 1.0)
+    write_spectrum(forward(read_field(src), TransformParams(p, p),
+                           GridSpec(-4.0, 4.0, -4.0, 4.0, 9, 9)), str(want))
+    assert out.read_bytes() == want.read_bytes()
 
 
 def test_moments_command(tmp_path):
@@ -421,6 +426,31 @@ def test_unwritable_out_exits_before_any_work(tmp_path, monkeypatch, capsys,
     assert captured.out == "" and captured.err.startswith("error: --out ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["transform", "f.csv", "--out", "o.csv"],
+    ["invert", "s.json", "--grid=-2,2,-2,2,9,9", "--out", "o.txt"],
+    ["charfn", "f.csv", "--freq-grid=-2,2,-2,2,9,9", "--format", "csv",
+     "--out", "o.json"],
+], ids=lambda argv: argv[0])
+def test_unwritable_csv_sidecar_exits_before_any_work(tmp_path, monkeypatch,
+                                                      capsys, argv):
+    # a CSV --out is written with its JSON sidecar <out>.json, so a
+    # sidecar path that is a directory exits 2 before the input is read
+    monkeypatch.chdir(tmp_path)
+    sidecar = argv[-1] + ".json"
+    (tmp_path / sidecar).mkdir()
+
+    def never(*args, **kwargs):
+        raise AssertionError("read the input before the sidecar was checked")
+
+    for name in ("read_field", "read_spectrum"):
+        monkeypatch.setattr(f"qlct2d.cli.{name}", never)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and sidecar in err
+    assert not (tmp_path / argv[-1]).exists()
+
+
 def test_out_check_creates_nothing(tmp_path):
     out = tmp_path / "o.json"
     _check_out(str(out))
@@ -431,7 +461,9 @@ def test_out_check_creates_nothing(tmp_path):
     ["moments", "f.csv", "--params", "missing.json", "--out", "m.json"],
     ["transform", "f.csv", "--grid=-1,1,-1,1,5,5", "--out", "o.json"],
     ["verify", "--quick", "--format", "json"],
-], ids=["moments-params", "transform-grid", "verify-format"])
+    ["charfn", "f.csv", "--mode", "lct", "--freq-grid=-2,2,-2,2,9,9",
+     "--out", "cf.json"],
+], ids=["moments-params", "transform-grid", "verify-format", "charfn-mode"])
 def test_flag_the_subcommand_ignores_exits_2(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)

@@ -193,8 +193,9 @@ def test_sandwich_matches_four_products(operands):
 
 
 # (n1, n2, m, n) for the right side's bands of output rows, which run
-# downwards when n > n2 and upwards otherwise, each overwriting rows of
-# the left result g in place; the test checks each case's band layout
+# upwards from the buffer's start over the left result g at its end,
+# each writing over rows of g already read; the test checks each case's
+# band layout
 _BAND_CASES = {
     "n>n2-2-bands-partial": ((5, 6, 9, 24), lambda m, n2, n, rows:
                              n > n2 and len(rows) == 2 and m % rows[0]),
