@@ -1,8 +1,10 @@
 """Command-line front end.
 
-Subcommands: transform, invert, charfn, moments, verify.  Grid files
-are CSV (with a JSON sidecar header) or single-file JSON; parameters
-are JSON files with per-axis unimodular matrices.
+Subcommands: transform, invert, charfn, moments, verify.  A grid path
+ending in .json (in any case) is single-file JSON, and any other is
+CSV with a JSON sidecar header, on read and on write alike, so every
+grid a subcommand writes can be read back; parameters are JSON files
+with per-axis unimodular matrices.
 
 Exit codes: 0 success, 2 input/parse error or an unwritable --out
 path, 3 config/invariant violation, 4 verification failure.  Each
@@ -34,10 +36,6 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_CONFIG = 3
 EXIT_VERIFY = 4
-
-
-class VerificationFailure(Exception):
-    """A required verification check did not pass."""
 
 
 def _parse_grid(option: str, text: str) -> GridSpec:
@@ -97,7 +95,7 @@ def _cmd_transform(args) -> int:
     f = read_field(args.input)
     # the frequency grid defaults to the spatial grid box
     s = forward(f, params, freq or f.spec)
-    write_spectrum(s, args.out, args.format)
+    write_spectrum(s, args.out)
     return EXIT_OK
 
 
@@ -110,7 +108,7 @@ def _cmd_invert(args) -> int:
     if params is not None:
         s = type(s)(s.spec, s.values, params)
     f = inverse(s, space)
-    write_field(f, args.out, args.format)
+    write_field(f, args.out)
     return EXIT_OK
 
 
@@ -122,7 +120,7 @@ def _cmd_charfn(args) -> int:
     f = read_field(args.input)
     # --params picks the LCT kernels, and no --params the Fourier ones
     cf = charfn(f, freq, "fourier" if params is None else "lct", params)
-    write_spectrum(cf.spectrum, args.out, args.format)
+    write_spectrum(cf.spectrum, args.out)
     return EXIT_OK
 
 
@@ -142,7 +140,8 @@ def _cmd_verify(args) -> int:
         with open(args.out, "w") as fh:
             fh.write(ledger_json(claims, quick=args.quick))
     if not all(c.passed for c in claims if c.required):
-        raise VerificationFailure("one or more required checks failed")
+        print("error: one or more required checks failed", file=sys.stderr)
+        return EXIT_VERIFY
     return EXIT_OK
 
 
@@ -152,8 +151,6 @@ _OPTIONS = {
     "--params": dict(help="transform parameter JSON file"),
     "--grid": dict(help="x1min,x1max,x2min,x2max,n1,n2"),
     "--freq-grid": dict(help="frequency grid, same form as --grid"),
-    "--format": dict(choices=("csv", "json"), default=None,
-                     help="output format (default: from extension)"),
     "--quick": dict(action="store_true",
                     help="reduced resolutions for a fast run"),
     "--tol": dict(type=float, default=None, help="tolerance override"),
@@ -177,11 +174,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
 
     add("transform", "forward transform of a field", _cmd_transform,
-        "--params", "--freq-grid", "--format")
+        "--params", "--freq-grid")
     add("invert", "inverse transform of a spectrum", _cmd_invert,
-        "--params", "--grid", "--format")
+        "--params", "--grid")
     add("charfn", "characteristic function of a density", _cmd_charfn,
-        "--params", "--freq-grid", "--format")
+        "--params", "--freq-grid")
     add("moments", "moment and covariance report", _cmd_moments)
     add("verify", "run the verification suite", _cmd_verify,
         "--quick", "--tol")
@@ -193,9 +190,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.out is not None:
             _check_out(args.out)
-            # a CSV has a JSON sidecar; moments and verify write JSON
-            fmt = getattr(args, "format", "json")
-            if _codec(args.out, fmt)[1] is _write_csv:
+            # a CSV grid has a JSON sidecar; moments and verify write JSON
+            if (args.command not in ("moments", "verify")
+                    and _codec(args.out)[1] is _write_csv):
                 _check_out(_sidecar_path(args.out))
         return args.func(args)
     except (ParseError, OSError) as e:
@@ -203,9 +200,6 @@ def main(argv: list[str] | None = None) -> int:
         # read failure is already a ParseError naming its file
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
-    except VerificationFailure as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VERIFY
     except (ValueError, TypeError, ZeroDivisionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,15 +1,15 @@
 """Reading and writing sampled grids as CSV or JSON files.
 
-Two on-disk forms are supported:
+The path's extension names the form, on read and on write alike:
 
-* CSV with header ``x1,x2,qa,qb,qc,qd`` and one row per node in
-  row-major order, plus a JSON sidecar ``<path>.json`` holding the grid
-  bounds (and transform parameters for spectra).  The sidecar is
-  optional on read; without it the grid is inferred from the
-  coordinate columns.  Either way each row's coordinates must be its
+* a path ending in ``.json`` (in any case) is a single JSON file
+  embedding the grid header, the values and any parameters;
+* any other path is CSV with header ``x1,x2,qa,qb,qc,qd`` and one row
+  per node in row-major order, plus a JSON sidecar ``<path>.json``
+  holding the grid bounds (and transform parameters for spectra).  The
+  sidecar is optional on read; without it the grid is inferred from
+  the coordinate columns.  Either way each row's coordinates must be its
   node's to within 1e-9 of the spacing, or the file is malformed.
-* A single JSON file embedding the grid header, the values and any
-  parameters.
 
 Floats are written with :func:`repr`, whose shortest round-trip
 representation reproduces the exact binary value on read.  Each path
@@ -134,7 +134,7 @@ def _read_csv(path: str) -> tuple[GridSpec, np.ndarray, TransformParams | None]:
         raise ParseError(f"{path}: no rows")
     if [h.strip() for h in head.split(",")] != _CSV_HEADER:
         raise ParseError(f"{path}: expected header {','.join(_CSV_HEADER)}, "
-                         f"got {head}")
+                         f"got {head[:80]!r}")
     if not body.strip("\n"):
         raise ParseError(f"{path}: no rows after header")
     try:
@@ -205,35 +205,30 @@ def _read_json(path: str) -> tuple[GridSpec, np.ndarray, TransformParams | None]
     return spec, values, params
 
 
-_CODECS = {"csv": (_read_csv, _write_csv), "json": (_read_json, _write_json)}
+def _codec(path: str):
+    """(reader, writer) by path's extension: .json, in any case, is
+    single-file JSON and any other is CSV with a sidecar."""
+    if os.path.splitext(path)[1].lower() == ".json":
+        return _read_json, _write_json
+    return _read_csv, _write_csv
 
 
-def _codec(path: str, fmt: str | None):
-    """(reader, writer) of fmt, or by path's extension: .json or csv."""
-    if fmt is None:
-        ext = os.path.splitext(path)[1].lower()
-        fmt = "json" if ext == ".json" else "csv"
-    if fmt not in _CODECS:
-        raise ValueError(f"unknown format {fmt!r} (expected csv or json)")
-    return _CODECS[fmt]
-
-
-def write_field(f: SampledField, path: str, fmt: str | None = None):
+def write_field(f: SampledField, path: str):
     """Write a field as CSV (with JSON sidecar) or single-file JSON."""
-    _codec(path, fmt)[1](path, f.spec, f.values, None)
+    _codec(path)[1](path, f.spec, f.values, None)
 
 
-def read_field(path: str, fmt: str | None = None) -> SampledField:
-    """Read a field; format is taken from the extension unless given."""
-    spec, values, _ = _codec(path, fmt)[0](path)
+def read_field(path: str) -> SampledField:
+    """Read a field; the format is taken from the extension."""
+    spec, values, _ = _codec(path)[0](path)
     return SampledField(spec, values)
 
 
-def write_spectrum(s: Spectrum, path: str, fmt: str | None = None):
+def write_spectrum(s: Spectrum, path: str):
     """Write a spectrum; its transform parameters go in the header."""
-    _codec(path, fmt)[1](path, s.spec, s.values, s.params)
+    _codec(path)[1](path, s.spec, s.values, s.params)
 
 
-def read_spectrum(path: str, fmt: str | None = None) -> Spectrum:
+def read_spectrum(path: str) -> Spectrum:
     """Read a spectrum, restoring embedded transform parameters."""
-    return Spectrum(*_codec(path, fmt)[0](path))
+    return Spectrum(*_codec(path)[0](path))

@@ -429,8 +429,7 @@ def test_unwritable_out_exits_before_any_work(tmp_path, monkeypatch, capsys,
 @pytest.mark.parametrize("argv", [
     ["transform", "f.csv", "--out", "o.csv"],
     ["invert", "s.json", "--grid=-2,2,-2,2,9,9", "--out", "o.txt"],
-    ["charfn", "f.csv", "--freq-grid=-2,2,-2,2,9,9", "--format", "csv",
-     "--out", "o.json"],
+    ["charfn", "f.csv", "--freq-grid=-2,2,-2,2,9,9", "--out", "o.dat"],
 ], ids=lambda argv: argv[0])
 def test_unwritable_csv_sidecar_exits_before_any_work(tmp_path, monkeypatch,
                                                       capsys, argv):
@@ -451,6 +450,32 @@ def test_unwritable_csv_sidecar_exits_before_any_work(tmp_path, monkeypatch,
     assert not (tmp_path / argv[-1]).exists()
 
 
+def test_moments_out_has_no_sidecar(tmp_path, monkeypatch):
+    # moments writes JSON whatever --out's extension, so a directory at
+    # <out>.json is no sidecar in its way
+    monkeypatch.chdir(tmp_path)
+    write_field(_gaussian(9, 2.0), "f.csv")
+    (tmp_path / "m.csv.json").mkdir()
+    assert main(["moments", "f.csv", "--out", "m.csv"]) == 0
+    assert "e_x1" in json.loads((tmp_path / "m.csv").read_text())
+
+
+@pytest.mark.parametrize("spec", ["s.JSON", "s.dat"])
+def test_cli_reads_back_every_grid_it_writes(tmp_path, monkeypatch, spec):
+    # the extension alone names the format, so invert reads the spectrum
+    # that transform wrote, whatever its name
+    monkeypatch.chdir(tmp_path)
+    f = _gaussian(9, 2.0)
+    write_field(f, "f.csv")
+    assert main(["transform", "f.csv", "--out", spec]) == 0
+    assert main(["invert", spec, "--grid=-2,2,-2,2,9,9",
+                 "--out", "back.dat"]) == 0
+    assert main(["charfn", "back.dat", "--freq-grid=-2,2,-2,2,9,9",
+                 "--out", "cf.json"]) == 0
+    assert np.array_equal(read_spectrum(spec).values,
+                          forward(f, fourier_params(), f.spec).values)
+
+
 def test_out_check_creates_nothing(tmp_path):
     out = tmp_path / "o.json"
     _check_out(str(out))
@@ -463,7 +488,13 @@ def test_out_check_creates_nothing(tmp_path):
     ["verify", "--quick", "--format", "json"],
     ["charfn", "f.csv", "--mode", "lct", "--freq-grid=-2,2,-2,2,9,9",
      "--out", "cf.json"],
-], ids=["moments-params", "transform-grid", "verify-format", "charfn-mode"])
+    ["transform", "f.csv", "--format", "json", "--out", "s.dat"],
+    ["invert", "s.json", "--grid=-1,1,-1,1,5,5", "--format", "json",
+     "--out", "o.dat"],
+    ["charfn", "f.csv", "--freq-grid=-2,2,-2,2,9,9", "--format", "json",
+     "--out", "cf.dat"],
+], ids=["moments-params", "transform-grid", "verify-format", "charfn-mode",
+        "transform-format", "invert-format", "charfn-format"])
 def test_flag_the_subcommand_ignores_exits_2(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)

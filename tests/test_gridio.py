@@ -71,14 +71,21 @@ def test_spectrum_roundtrip_keeps_params(tmp_path):
         assert np.array_equal(t.values, s.values)
 
 
-def test_format_override_beats_extension(tmp_path):
+def test_extension_names_the_format(tmp_path):
+    # .json in any case is single-file JSON; any other path is CSV with
+    # a <path>.json sidecar, on write and on read alike
     f = _field()
-    path = str(tmp_path / "field.dat")
-    write_field(f, path, fmt="json")
-    g = read_field(path, fmt="json")
-    assert np.array_equal(g.values, f.values)
-    with pytest.raises(ValueError):
-        write_field(f, path, fmt="xml")
+    dat, upper = tmp_path / "field.dat", tmp_path / "field.JSON"
+    write_field(f, str(dat))
+    write_field(f, str(upper))
+    assert dat.read_text().startswith("x1,x2,qa,qb,qc,qd\n")
+    assert "n1" in json.loads((tmp_path / "field.dat.json").read_text())
+    assert "values" in json.loads(upper.read_text())
+    assert not (tmp_path / "field.JSON.json").exists()
+    for path in (dat, upper):
+        g = read_field(str(path))
+        assert g.spec == f.spec
+        assert np.array_equal(g.values, f.values)
 
 
 def test_missing_file_is_parse_error(tmp_path):
@@ -101,6 +108,19 @@ def test_bad_header_is_parse_error(tmp_path):
         fh.write("a,b,c,d,e,f\n0,0,1,0,0,0\n")
     with pytest.raises(ParseError, match="header"):
         read_field(path)
+
+
+def test_long_bad_header_is_quoted_short(tmp_path):
+    # a JSON grid saved under a CSV name is one long line; the error
+    # names the file and the expected header, not the whole line
+    path = str(tmp_path / "big.csv")
+    with open(path, "w") as fh:
+        fh.write(json.dumps({"grid": {}, "values": [[0.0] * 4] * 5000}))
+    with pytest.raises(ParseError) as exc:
+        read_field(path)
+    message = str(exc.value)
+    assert len(message) < 300
+    assert path in message and "x1,x2,qa,qb,qc,qd" in message
 
 
 def test_non_numeric_cell_is_parse_error(tmp_path):
