@@ -3,8 +3,10 @@
 Subcommands: transform, invert, charfn, moments, verify.  A grid path
 ending in .json (in any case) is single-file JSON, and any other is
 CSV with a JSON sidecar header, on read and on write alike, so every
-grid a subcommand writes can be read back; parameters are JSON files
-with per-axis unimodular matrices.
+grid a subcommand writes can be read back.  A --params file holds the
+record a spectrum header does, per-axis unimodular matrices or one for
+both axes, and both parse through TransformParams.from_dict; invert
+takes its kernels from the spectrum alone.
 
 Exit codes: 0 success, 2 input/parse error or an unwritable --out
 path, 3 config/invariant violation, 4 verification failure.  Each
@@ -22,10 +24,9 @@ import sys
 from dataclasses import fields
 
 from .field import GridSpec
-from .gridio import (ParseError, _codec, _from_header, _load_json,
-                     _sidecar_path, _write_csv, read_field, read_spectrum,
-                     write_field, write_spectrum)
-from .lct import LctParams, TransformParams, fourier_params
+from .gridio import (ParseError, _from_header, _load_json, _sidecar_path,
+                     read_field, read_spectrum, write_field, write_spectrum)
+from .lct import TransformParams, fourier_params
 from .prob import charfn, covariance
 from .transform import forward, inverse
 from .verify import ledger_json, ledger_text, run_verify
@@ -47,33 +48,8 @@ def _parse_grid(option: str, text: str) -> GridSpec:
         dict(zip((f.name for f in fields(GridSpec)), parts)))
 
 
-def _matrix(path: str, key: str, entry) -> LctParams:
-    """One matrix of a --params file.  A missing or mistyped entry is a
-    ParseError; a matrix that breaks an LctParams invariant stays a
-    ValueError, named after its key."""
-    where = f"{path}: {key}"
-    try:
-        return _from_header(where, LctParams.from_dict, entry)
-    except ParseError:
-        raise
-    except ValueError as e:
-        raise ValueError(
-            f"{where}: {str(e).replace('det(A)', f'det({key})')}") from e
-
-
 def _load_params(path: str) -> TransformParams:
-    doc = _load_json(path)
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: expected a JSON object")
-    if "A1" not in doc and "A2" not in doc:
-        # a single matrix applies to both axes
-        p = _matrix(path, "A", doc)
-        return TransformParams(p, p)
-    for key in ("A1", "A2"):
-        if key not in doc:
-            raise ParseError(f"{path}: missing matrix {key}")
-    return TransformParams(_matrix(path, "A1", doc["A1"]),
-                           _matrix(path, "A2", doc["A2"]))
+    return _from_header(path, TransformParams.from_dict, _load_json(path))
 
 
 def _check_out(path: str):
@@ -103,12 +79,7 @@ def _cmd_invert(args) -> int:
     if args.grid is None:
         raise ValueError("invert requires --grid for the output box")
     space = _parse_grid("--grid", args.grid)
-    params = _load_params(args.params) if args.params else None
-    s = read_spectrum(args.input)
-    if params is not None:
-        s = type(s)(s.spec, s.values, params)
-    f = inverse(s, space)
-    write_field(f, args.out)
+    write_field(inverse(read_spectrum(args.input), space), args.out)
     return EXIT_OK
 
 
@@ -175,8 +146,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     add("transform", "forward transform of a field", _cmd_transform,
         "--params", "--freq-grid")
-    add("invert", "inverse transform of a spectrum", _cmd_invert,
-        "--params", "--grid")
+    add("invert", "inverse transform of a spectrum", _cmd_invert, "--grid")
     add("charfn", "characteristic function of a density", _cmd_charfn,
         "--params", "--freq-grid")
     add("moments", "moment and covariance report", _cmd_moments)
@@ -191,9 +161,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.out is not None:
             _check_out(args.out)
             # a CSV grid has a JSON sidecar; moments and verify write JSON
-            if (args.command not in ("moments", "verify")
-                    and _codec(args.out)[1] is _write_csv):
-                _check_out(_sidecar_path(args.out))
+            side = _sidecar_path(args.out)
+            if side and args.command in ("transform", "invert", "charfn"):
+                _check_out(side)
         return args.func(args)
     except (ParseError, OSError) as e:
         # an OSError here is an --out path that cannot be written; every

@@ -11,6 +11,9 @@ The path's extension names the form, on read and on write alike:
   the coordinate columns.  Either way each row's coordinates must be its
   node's to within 1e-9 of the spacing, or the file is malformed.
 
+A header's parameters parse as a ``--params`` file's do, through
+:meth:`TransformParams.from_dict`, and every header error names its file.
+
 Floats are written with :func:`repr`, whose shortest round-trip
 representation reproduces the exact binary value on read.  Each path
 runs in C: the CSV body is parsed by :func:`numpy.loadtxt` and written
@@ -46,7 +49,10 @@ class ParseError(ValueError):
     """A grid file is missing, empty, or malformed."""
 
 
-def _sidecar_path(path: str) -> str:
+def _sidecar_path(path: str) -> str | None:
+    """A CSV grid's JSON sidecar, or None for a path ending in .json."""
+    if os.path.splitext(path)[1].lower() == ".json":
+        return None
     return path + ".json"
 
 
@@ -111,15 +117,17 @@ def _load_json(path: str):
 
 
 def _from_header(path: str, parse, entry):
-    """parse(entry) for a GridSpec, TransformParams or LctParams entry
-    of a header or parameter file; a missing or mistyped key is a
-    ParseError naming the file, while an invariant violation stays a
-    ValueError."""
+    """parse(entry) for a GridSpec or TransformParams entry of a header
+    or parameter file; a missing or mistyped key is a ParseError naming
+    the file, while an invariant violation stays a ValueError, prefixed
+    with the file's path."""
     try:
         return parse(entry)
     except (KeyError, TypeError) as e:
         raise ParseError(f"{path}: malformed header "
                          f"({type(e).__name__}: {e})") from e
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from e
 
 
 def _read_csv(path: str) -> tuple[GridSpec, np.ndarray, TransformParams | None]:
@@ -208,7 +216,7 @@ def _read_json(path: str) -> tuple[GridSpec, np.ndarray, TransformParams | None]
 def _codec(path: str):
     """(reader, writer) by path's extension: .json, in any case, is
     single-file JSON and any other is CSV with a sidecar."""
-    if os.path.splitext(path)[1].lower() == ".json":
+    if _sidecar_path(path) is None:
         return _read_json, _write_json
     return _read_csv, _write_csv
 

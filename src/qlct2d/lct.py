@@ -89,7 +89,26 @@ class TransformParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TransformParams":
-        return cls(LctParams.from_dict(d["A1"]), LctParams.from_dict(d["A2"]))
+        """A --params file's or spectrum header's {"A1": .., "A2": ..}, or
+        one matrix for both axes; a ValueError names its matrix."""
+        if not isinstance(d, dict):
+            raise TypeError("expected a JSON object")
+        if "A1" not in d and "A2" not in d:
+            # a single matrix applies to both axes
+            p = _matrix("A", d)
+            return cls(p, p)
+        for key in ("A1", "A2"):
+            if key not in d:
+                raise KeyError(f"missing matrix {key}")
+        return cls(_matrix("A1", d["A1"]), _matrix("A2", d["A2"]))
+
+
+def _matrix(key: str, entry) -> LctParams:
+    try:
+        return LctParams.from_dict(entry)
+    except ValueError as e:
+        raise ValueError(
+            f"{key}: {str(e).replace('det(A)', f'det({key})')}") from e
 
 
 def fourier_params() -> TransformParams:

@@ -358,6 +358,39 @@ def test_header_non_numeric_entry_exits_2(tmp_path, monkeypatch, capsys,
     assert f"{name}: malformed header" in capsys.readouterr().err
 
 
+_DET_09 = {"a": 1.0, "b": 0.5, "c": 0.0, "d": 0.9}
+_B_ZERO = {"a": 1.0, "b": 0.0, "c": 0.5, "d": 1.0}
+
+
+@pytest.mark.parametrize("name, keys, value, argv, message", [
+    ("s.json", ("params", "A1"), _DET_09,
+     ["invert", "s.json", "--grid=-2,2,-2,2,17,17"], "s.json: A1: det(A1) != 1"),
+    ("s.csv.json", ("params", "A2"), _B_ZERO,
+     ["invert", "s.csv", "--grid=-2,2,-2,2,17,17"], "s.csv.json: A2: b = 0"),
+    ("f.csv.json", ("x1_min",), 5.0, ["moments", "f.csv"],
+     "f.csv.json: GridSpec: x1_min must be < x1_max"),
+], ids=["json-spectrum-A1-det", "csv-sidecar-A2-b-zero",
+        "csv-sidecar-x1-bounds"])
+def test_header_invariant_violation_names_its_file_and_exits_3(
+        tmp_path, monkeypatch, capsys, name, keys, value, argv, message):
+    # a header holds the record a --params file does, so its errors name
+    # the file and the matrix as a --params file's do
+    monkeypatch.chdir(tmp_path)
+    f = _gaussian(17, 2.0)
+    write_field(f, "f.csv")
+    s = forward(f, fourier_params(), f.spec)
+    write_spectrum(s, "s.json")
+    write_spectrum(s, "s.csv")
+    doc = json.loads((tmp_path / name).read_text())
+    entry = doc
+    for key in keys[:-1]:
+        entry = entry[key]
+    entry[keys[-1]] = value
+    (tmp_path / name).write_text(json.dumps(doc))
+    assert main(argv + ["--out", "out.json"]) == 3
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 def test_integral_float_count_is_accepted(tmp_path):
     src = tmp_path / "f.csv"
     write_field(_gaussian(17, 2.0), str(src))
@@ -493,12 +526,40 @@ def test_out_check_creates_nothing(tmp_path):
      "--out", "o.dat"],
     ["charfn", "f.csv", "--freq-grid=-2,2,-2,2,9,9", "--format", "json",
      "--out", "cf.dat"],
+    ["invert", "s.json", "--grid=-1,1,-1,1,5,5", "--params", "p.json",
+     "--out", "o.csv"],
 ], ids=["moments-params", "transform-grid", "verify-format", "charfn-mode",
-        "transform-format", "invert-format", "charfn-format"])
+        "transform-format", "invert-format", "charfn-format",
+        "invert-params"])
 def test_flag_the_subcommand_ignores_exits_2(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+def test_single_matrix_params_apply_to_both_axes(tmp_path, monkeypatch):
+    # one matrix is read as {"A1": m, "A2": m}, byte for byte
+    monkeypatch.chdir(tmp_path)
+    write_field(_gaussian(17, 2.0), "f.csv")
+    m = {"a": 0.8, "b": 0.6, "c": -0.6, "d": 0.8}
+    (tmp_path / "one.json").write_text(json.dumps(m))
+    (tmp_path / "two.json").write_text(json.dumps({"A1": m, "A2": m}))
+    for name in ("one", "two"):
+        assert main(["transform", "f.csv", "--params", f"{name}.json",
+                     "--freq-grid=-4,4,-4,4,9,9",
+                     "--out", f"s-{name}.json"]) == 0
+    assert ((tmp_path / "s-one.json").read_bytes()
+            == (tmp_path / "s-two.json").read_bytes())
+
+
+def test_out_in_unwritable_directory_exits_2(tmp_path, monkeypatch, capsys):
+    # file modes do not bind every user (root writes anywhere), so the
+    # permission check itself is what reports the directory unwritable
+    monkeypatch.chdir(tmp_path)
+    write_field(_gaussian(9, 2.0), "f.csv")
+    monkeypatch.setattr("qlct2d.cli.os.access", lambda path, mode: False)
+    assert main(["moments", "f.csv", "--out", "m.json"]) == 2
+    assert "is not writable" in capsys.readouterr().err
 
 
 def test_b_zero_nonpositive_d_params_exit_3(tmp_path, capsys):

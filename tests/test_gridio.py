@@ -223,11 +223,23 @@ def test_csv_reader_rejects(tmp_path, edit):
 @pytest.mark.parametrize("edit, message", [
     (lambda ls: ls[0] + "\r\n\r\n", "no rows after header"),
     (lambda ls: "\n".join(ls[:2]), "1 rows for a 5 x 7 grid"),
-], ids=["header-only", "single-row"])
+    (lambda ls: "\n".join(ls[:1] + [r + ",0" for r in ls[1:]]),
+     "expected 6 columns, got 7"),
+], ids=["header-only", "single-row", "seven-columns"])
 def test_csv_reader_counts_rows(tmp_path, edit, message):
     _, path = _csv_variant(tmp_path, edit)
     with pytest.raises(ParseError, match=message):
         read_field(path)
+
+
+def test_csv_without_sidecar_needs_whole_rows(tmp_path):
+    # x1 changes after two rows, so three rows are no whole grid rows
+    path = tmp_path / "f.csv"
+    path.write_text("x1,x2,qa,qb,qc,qd\n0,0,1,0,0,0\n0,1,1,0,0,0\n"
+                    "1,0,1,0,0,0\n")
+    with pytest.raises(ParseError, match="row count is not a multiple of "
+                                         "the inferred row length 2"):
+        read_field(str(path))
 
 
 def _column_major(tmp_path):

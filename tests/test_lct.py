@@ -32,6 +32,23 @@ def test_params_dict_roundtrip():
     assert TransformParams.from_dict(t.to_dict()) == t
 
 
+def test_transform_params_from_one_matrix():
+    # a single matrix, as a --params file may hold, applies to both axes
+    p = LctParams(1.0, 0.5, 0.0, 1.0)
+    assert TransformParams.from_dict(p.to_dict()) == TransformParams(p, p)
+
+
+def test_transform_params_from_dict_names_the_bad_matrix():
+    good = fourier_params().A1.to_dict()
+    bad = {"a": 1.0, "b": 0.5, "c": 0.0, "d": 0.9}
+    with pytest.raises(ValueError, match=r"^A2: det\(A2\) != 1"):
+        TransformParams.from_dict({"A1": good, "A2": bad})
+    with pytest.raises(KeyError, match="missing matrix A2"):
+        TransformParams.from_dict({"A1": good})
+    with pytest.raises(TypeError, match="expected a JSON object"):
+        TransformParams.from_dict([good, good])
+
+
 def test_params_from_dict_refuses_booleans():
     # (1, 1, 0, 1) is unimodular, so booleans would pass every invariant
     with pytest.raises(TypeError, match="a boolean"):

@@ -39,6 +39,13 @@ def test_operators_match_functions():
     assert isclose(p / q, mul(p, inverse(q)))
 
 
+def test_real_minus_quaternion_and_repr():
+    p = Quaternion(1.0, -2.0, 0.5, 3.0)
+    assert 1.0 - p == Quaternion(0.0, 2.0, -0.5, -3.0)
+    assert repr(p) == "Quaternion(1.0, -2.0, 0.5, 3.0)"
+    assert eval(repr(p)) == p
+
+
 def test_conjugate_and_norm():
     q = Quaternion(1.0, 2.0, 3.0, 4.0)
     assert isclose(conj(q), Quaternion(1.0, -2.0, -3.0, -4.0))

@@ -185,11 +185,11 @@ def test_memory_cap_is_the_footprint_estimate(monkeypatch):
 
 def test_ledger_products_stay_within_128_columns(monkeypatch):
     # every BLAS product of a ledger or of the 257² CLI chain
-    # (transform, invert, charfn) is at most 128 float columns wide, as
-    # the ledgers' byte-identity across BLAS thread counts needs: a left
-    # block's step complex columns of z, a right band's 2 * k complex
-    # columns for its k output rows
-    shapes = {(257, 257, 257, 257), (257, 257, 65, 65)}
+    # (transform, invert, charfn, and invert of the 65² LCT charfn) is at
+    # most 128 float columns wide, as the ledgers' byte-identity across
+    # BLAS thread counts needs: a left block's step complex columns of z,
+    # a right band's 2 * k complex columns for its k output rows
+    shapes = {(257, 257, 257, 257), (257, 257, 65, 65), (65, 65, 65, 65)}
 
     def sizes(*shape):
         shapes.add(shape)
@@ -274,6 +274,14 @@ def test_structured_pair_convolution_identity():
     lit, nrm = product_residuals(f, g, FOUR, freq)
     assert nrm <= 1e-2
     assert lit == pytest.approx(1.0, abs=1e-6)
+
+
+def test_product_residuals_reject_a_zero_field():
+    f = SampledField(GridSpec(-1.0, 1.0, -1.0, 1.0, 9, 9), np.zeros((9, 9, 4)))
+    for correlation, op in ((False, "convolution"), (True, "correlation")):
+        with pytest.raises(ValueError, match=f"transform of the {op} is "
+                                             "identically zero"):
+            product_residuals(f, f, FOUR, f.spec, correlation=correlation)
 
 
 def test_structured_pair_correlation_identity():
